@@ -10,8 +10,21 @@ operators are time independent.  The canonical form has traceless noise
 operators orthonormal under the Hilbert-Schmidt inner product, which makes
 the rates unique up to degeneracies of the Kossakowski matrix.
 
-Vectorization is row-major throughout: vec(rho) = rho.reshape(d*d), so a
-superoperator A . B^T acts as rho -> A rho B.
+Vectorization is row-major throughout: vec(rho) = rho.reshape(d*d), so the
+Kronecker product A (x) B^T acts as rho -> A rho B.  ``superop_parts`` is the
+one assembly of the reshaped d^2 x d^2 generator: batched einsum Kronecker
+products over the stacked noise operators give the Hamiltonian part
+-i(H (x) 1 - 1 (x) H^T) and the dissipators
+
+    D_l = L_l (x) conj(L_l) - 1/2 (L_l^+ L_l (x) 1 + 1 (x) (L_l^+ L_l)^T).
+
+Constant-rate channels fold into a static matrix once; time-dependent ones
+stay a flattened (n_td, d^4) stack, so that
+
+    L(t) = static + (gamma(t) @ stack).reshape(d^2, d^2).
+
+``reshape`` and the integrators in ``pauli`` and ``lyapunov`` all read L(t)
+through ``SuperopParts.at``.
 """
 
 import numbers
@@ -36,6 +49,7 @@ __all__ = [
     "GklsGenerator",
     "CanonicalForm",
     "Superoperator",
+    "SuperopParts",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -247,42 +261,65 @@ def adjoint_apply(gen, x, t=0.0):
 # reshaping
 # ---------------------------------------------------------------------------
 
-def _dissipator_matrix(l):
-    d = l.shape[0]
+def _kron(a, b):
+    """Kronecker product of the trailing square axes, batched over leading ones."""
+    d = a.shape[-1]
+    out = np.einsum("...ab,...cd->...acbd", a, b)
+    return out.reshape(out.shape[:-4] + (d * d, d * d))
+
+
+@dataclass(frozen=True)
+class SuperopParts:
+    """Reshaped generator split as L(t) = static + sum_l gamma_l(t) D_l.
+
+    ``static`` holds the Hamiltonian part and every constant-rate channel;
+    ``stack`` holds the flattened dissipators D_l of the time-dependent
+    channels, one row per entry of ``rates``.
+    """
+
+    static: np.ndarray  # (d^2, d^2)
+    stack: np.ndarray  # (n_td, d^4)
+    rates: tuple  # ratelang.RateExpr per row of ``stack``
+
+    def at(self, t):
+        """The d^2 x d^2 matrix of L(t); ``static`` itself when no rate varies."""
+        if not self.rates:
+            return self.static
+        gammas = np.array([ratelang.evaluate(r, t) for r in self.rates])
+        return self.static + (gammas @ self.stack).reshape(self.static.shape)
+
+
+def _dissipator_sums(weights, ops, d):
+    """Flattened sums sum_l weights[k, l] D_l over the noise operators, one row per k."""
+    k, n = weights.shape
     eye = np.eye(d)
-    ldl = l.conj().T @ l
-    return np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-
-
-def _hamiltonian_matrix(h):
-    eye = np.eye(h.shape[0])
-    return -1.0j * np.kron(h, eye) + 1.0j * np.kron(eye, h.T)
+    ops = np.array(ops, dtype=complex).reshape(n, d, d)
+    flat = ops.reshape(n, d * d)
+    # sum_l w_kl L_l (x) conj(L_l): the outer products of vec(L_l), regrouped
+    jumps = np.einsum("kl,la,lb->kab", weights, flat, flat.conj())
+    jumps = jumps.reshape(k, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d)
+    damp = np.einsum("kl,lba,lbc->kac", weights, ops.conj(), ops)  # sum_l w_kl L_l^+ L_l
+    out = jumps - 0.5 * (_kron(damp, eye) + _kron(eye, damp.transpose(0, 2, 1)))
+    return out.reshape(k, d**4)
 
 
 def superop_parts(gen):
-    """Split the reshaped generator into a static part and rate-weighted parts.
-
-    Returns ``(static, parts)`` with parts a list of (channel, dissipator
-    matrix) for the time-dependent channels; the static part collects the
-    Hamiltonian and all constant-rate channels.
-    """
-    static = _hamiltonian_matrix(gen.hamiltonian)
-    parts = []
-    for ch in gen.channels:
-        dmat = _dissipator_matrix(ch.op)
-        if ch.time_dependent:
-            parts.append((ch, dmat))
-        else:
-            static = static + ch.rate_at(0.0) * dmat
-    return static, parts
+    """The single assembly of the reshaped generator (see the module notes)."""
+    d = gen.dim
+    eye = np.eye(d)
+    h = gen.hamiltonian
+    fixed = [ch for ch in gen.channels if not ch.time_dependent]
+    varying = [ch for ch in gen.channels if ch.time_dependent]
+    fixed_rates = np.array([[ch.rate for ch in fixed]], dtype=float)
+    dissipative = _dissipator_sums(fixed_rates, [ch.op for ch in fixed], d)
+    static = -1.0j * (_kron(h, eye) - _kron(eye, h.T)) + dissipative.reshape(d * d, d * d)
+    stack = _dissipator_sums(np.eye(len(varying)), [ch.op for ch in varying], d)
+    return SuperopParts(static=static, stack=stack, rates=tuple(ch.rate for ch in varying))
 
 
 def reshape(gen, t=0.0):
     """Reshaped d^2 x d^2 superoperator of the generator frozen at time ``t``."""
-    mat = _hamiltonian_matrix(gen.hamiltonian)
-    for ch in gen.channels:
-        mat = mat + ch.rate_at(t) * _dissipator_matrix(ch.op)
-    return Superoperator(matrix=mat, dim=gen.dim)
+    return Superoperator(matrix=superop_parts(gen).at(t), dim=gen.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +394,6 @@ def gks_decompose(superop):
     phi = phi + (c[0, 0].real / (2.0 * d)) * np.eye(d)
     h = 1.0j * (phi - phi.conj().T) / 2.0
     return h, kossakowski, basis
-
-
-def rebuild_superop(h, kossakowski, basis):
-    """Reassemble the reshaped generator from a GKS decomposition."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    mat = _hamiltonian_matrix(h)
-    for k, fk in enumerate(basis):
-        for l, fl in enumerate(basis):
-            c = kossakowski[k, l]
-            if c == 0.0:
-                continue
-            flfk = fl @ fk
-            mat = mat + c * (
-                np.kron(fk, fl.conj())
-                - 0.5 * (np.kron(flfk, eye) + np.kron(eye, flfk.T))
-            )
-    return Superoperator(matrix=mat, dim=d)
 
 
 def _fix_phase(op):

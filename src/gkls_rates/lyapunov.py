@@ -26,7 +26,7 @@ from .errors import (
     UnconvergedError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import hs_inner, qr
+from .matcore import hs_inner, qr, rk4
 
 __all__ = [
     "LyapunovEstimate",
@@ -211,17 +211,8 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     return estimate
 
 
-def _sampled_opnorm(gen, horizon, samples=65):
-    static, parts = genmod.superop_parts(gen)
-    if not parts:
-        return float(np.linalg.norm(static))
-    worst = 0.0
-    for t in np.linspace(0.0, horizon, samples):
-        mat = static.copy()
-        for ch, dmat in parts:
-            mat = mat + ch.rate_at(t) * dmat
-        worst = max(worst, float(np.linalg.norm(mat)))
-    return worst
+def _sampled_opnorm(parts, horizon, samples=65):
+    return max(float(np.linalg.norm(parts.at(t))) for t in np.linspace(0.0, horizon, samples))
 
 
 def qr_spectrum(gen, horizon, reortho_interval=None):
@@ -247,28 +238,12 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     if autonomous:
         prop = scipy.linalg.expm(-delta * genmod.reshape(gen).matrix)
     else:
-        static, parts = genmod.superop_parts(gen)
-        scale = max(_sampled_opnorm(gen, horizon), 1e-12)
+        parts = genmod.superop_parts(gen)
+        scale = max(_sampled_opnorm(parts, horizon), 1e-12)
         substeps = max(4, int(np.ceil(delta * scale * 50.0)))
 
-        def lmat(t):
-            mat = static
-            for ch, dmat in parts:
-                mat = mat + ch.rate_at(t) * dmat
-            return mat
-
-        def push(q0, t0):
-            h = delta / substeps
-            z = q0
-            t = t0
-            for _ in range(substeps):
-                k1 = -lmat(t) @ z
-                k2 = -lmat(t + h / 2.0) @ (z + (h / 2.0) * k1)
-                k3 = -lmat(t + h / 2.0) @ (z + (h / 2.0) * k2)
-                k4 = -lmat(t + h) @ (z + h * k3)
-                z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-            return z
+        def backward(t, z):
+            return -(parts.at(t) @ z)
 
     q = np.eye(n, dtype=complex)
     acc = np.zeros(n)
@@ -279,7 +254,7 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     top_series_t = [0.0]
     top_series_v = [0.0]
     for k in range(1, steps + 1):
-        z = prop @ q if autonomous else push(q, (k - 1) * delta)
+        z = prop @ q if autonomous else rk4(backward, q, (k - 1) * delta, k * delta, substeps)
         try:
             q, r = qr(z)
         except RankDeficientError as exc:

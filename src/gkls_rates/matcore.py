@@ -6,7 +6,7 @@ robustness is preferred over speed throughout.  Eigendecomposition routes
 Hermitian inputs to the symmetric solver and otherwise uses the general
 Hessenberg/shifted-QR path of LAPACK; the matrix exponential is
 scaling-and-squaring with Pade approximants, which behaves uniformly on
-defective inputs.
+defective inputs.  ``rk4`` is the one fixed-step integrator of the package.
 """
 
 from dataclasses import dataclass
@@ -194,6 +194,20 @@ def matrix_norm(a, kind):
     if kind == "frobenius":
         return float(np.linalg.norm(a, "fro"))
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def rk4(fn, v, a, b, n):
+    """Classical fourth-order Runge-Kutta for v' = fn(t, v): n equal steps from a to b."""
+    h = (b - a) / n
+    t = a
+    for _ in range(n):
+        k1 = fn(t, v)
+        k2 = fn(t + h / 2.0, v + (h / 2.0) * k1)
+        k3 = fn(t + h / 2.0, v + (h / 2.0) * k2)
+        k4 = fn(t + h, v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return v
 
 
 def qr(m):

@@ -28,6 +28,7 @@ from .errors import (
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
+from .matcore import rk4
 
 __all__ = [
     "Trajectory",
@@ -89,19 +90,6 @@ def _check_state(rho, d):
     return (rho + rho.conj().T) / 2.0
 
 
-def _rk4(fn, v, a, b, n):
-    h = (b - a) / n
-    t = a
-    for _ in range(n):
-        k1 = fn(t, v)
-        k2 = fn(t + h / 2.0, v + (h / 2.0) * k1)
-        k3 = fn(t + h / 2.0, v + (h / 2.0) * k2)
-        k4 = fn(t + h, v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return v
-
-
 def _integrate_segment(fn, v, a, b, scale):
     """RK4 with step halving until the Richardson estimate meets tolerance."""
     span = abs(b - a)
@@ -112,14 +100,14 @@ def _integrate_segment(fn, v, a, b, scale):
         raise StepSizeUnderflowError(
             f"segment [{a}, {b}] needs ~{n} steps, above the budget {_MAX_SEGMENT_STEPS}"
         )
-    coarse = _rk4(fn, v, a, b, n)
+    coarse = rk4(fn, v, a, b, n)
     while True:
         n *= 2
         if n > _MAX_SEGMENT_STEPS:
             raise StepSizeUnderflowError(
                 f"requested accuracy unreachable on [{a}, {b}] within {_MAX_SEGMENT_STEPS} steps"
             )
-        fine = _rk4(fn, v, a, b, n)
+        fine = rk4(fn, v, a, b, n)
         err = float(np.linalg.norm(fine - coarse)) / max(1.0, float(np.linalg.norm(fine)))
         if err <= _RICHARDSON_TOL * span:
             return fine
@@ -156,19 +144,13 @@ def evolve(gen, rho0, grid):
             states.append((rho + rho.conj().T) / 2.0)
         return Trajectory(grid=grid, states=tuple(states))
 
-    static, parts = genmod.superop_parts(gen)
+    parts = genmod.superop_parts(gen)
 
     def rhs(t, v):
-        mat = static
-        for ch, dmat in parts:
-            mat = mat + ch.rate_at(t) * dmat
-        return mat @ v
+        return parts.at(t) @ v
 
     def opnorm_at(t):
-        mat = static.copy()
-        for ch, dmat in parts:
-            mat = mat + ch.rate_at(t) * dmat
-        return float(np.linalg.norm(mat))
+        return float(np.linalg.norm(parts.at(t)))
 
     def step(v, a, b):
         if a == b:
@@ -347,15 +329,11 @@ def classical_propagator(canonical, track, j, k):
         w1 = teich_mahler(canonical, track, m + 1).w
         h = float(track.grid[m + 1] - track.grid[m])
 
-        def wt(s):  # linear interpolation on [0, h]
+        def rhs(s, p):  # W linearly interpolated on [0, h]
             lam = s / h
-            return (1.0 - lam) * w0 + lam * w1
+            return ((1.0 - lam) * w0 + lam * w1) @ p
 
-        k1 = wt(0.0) @ f
-        k2 = wt(h / 2.0) @ (f + (h / 2.0) * k1)
-        k3 = wt(h / 2.0) @ (f + (h / 2.0) * k2)
-        k4 = wt(h) @ (f + h * k3)
-        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f = rk4(rhs, f, 0.0, h, 1)
     return f
 
 

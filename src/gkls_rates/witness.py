@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 MARGIN_TOL_SCALE = 1e-8
-_CP_TOL = 1e-12
 _BISECT_RESOLUTION = 1e-6
 
 
@@ -127,7 +126,7 @@ def scan(gen, grid):
         intervals.append((start, end))
         i = j + 1
 
-    cp_divisible = bool(np.all(local_rates >= -_CP_TOL))
+    cp_divisible = bool(np.all(local_rates >= -genmod.CP_TOL))
     return WitnessReport(
         grid=grid,
         local_rates=local_rates,

@@ -253,6 +253,26 @@ def test_sweep_bad_dim(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, threads",
+    [
+        (["witness", "eternal_nm", "--steps", "0"], None),
+        (["witness", "eternal_nm", "--t1", "-1"], None),
+        (["lyapunov", "dephasing", "--horizon", "-1"], None),
+        (["lyapunov", "dephasing", "--mode", "qr", "--horizon", "0"], None),
+        (["sweep", "--dim", "2", "--count", "2"], "x"),
+    ],
+    ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "threads-not-int"],
+)
+def test_bad_numeric_input_exits_2_with_one_line(argv, threads, monkeypatch, capsys):
+    if threads is not None:
+        monkeypatch.setenv("GKLS_RATES_THREADS", threads)
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # classical
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkls_rates import generator as g
 from gkls_rates import matcore, spectra
@@ -12,6 +14,8 @@ from gkls_rates.errors import (
     NotTracePreservingError,
     TimeDependentError,
 )
+
+import kron_oracle
 
 H0 = np.zeros((2, 2))
 
@@ -168,6 +172,62 @@ def test_reshape_trace_functional_left_null(rng):
     assert np.linalg.norm(row) <= 1e-10 * np.linalg.norm(s)
 
 
+ASSEMBLY_KINDS = ("hamiltonian", "dephasing", "rank1", "negative", "time_dependent")
+TD_RATES = ("1 - 0.5*tanh(t)", "-tanh(t)", "sin(t)^2", "exp(-t)", "cos(3*t)")
+
+
+def assembly_case(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (a + a.conj().T) / 2
+    basis = g.gell_mann_basis(d)
+    n = d * d - 1
+    if kind == "hamiltonian":
+        return g.build(h, [])
+    if kind == "dephasing":  # diagonal channels: every population is stationary
+        rates = rng.uniform(0.1, 2.0, d - 1)
+        return g.build(np.zeros((d, d)), list(zip(rates, basis[-(d - 1):])))
+    if kind == "rank1":
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return g.canonicalize(h, np.outer(b, b.conj()), basis).base
+    if kind == "negative":  # indefinite Kossakowski matrix
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return g.canonicalize(h, (c + c.conj().T) / 2, basis).base
+    channels = [
+        (TD_RATES[k % len(TD_RATES)] if k % 3 else float(rng.uniform(-1.0, 1.0)), op)
+        for k, op in enumerate(basis)
+    ]
+    return g.build(h, channels)
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(2, 5),
+    kind=st.sampled_from(ASSEMBLY_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-3.0, 3.0),
+)
+def test_assembly_matches_kron_oracle(d, kind, seed, t):
+    gen = assembly_case(kind, d, seed)
+    parts = g.superop_parts(gen)
+    for s in (0.0, t, 2.5 * t):
+        expected = kron_oracle.reshape(gen, s)
+        tol = 1e-13 * max(1.0, float(np.linalg.norm(expected)))
+        assert np.linalg.norm(g.reshape(gen, s).matrix - expected) <= tol
+        assert np.linalg.norm(parts.at(s) - expected) <= tol
+
+
+def test_assembly_splits_time_dependent_channels():
+    gen = assembly_case("time_dependent", 3, seed=5)
+    parts = g.superop_parts(gen)
+    n_td = sum(ch.time_dependent for ch in gen.channels)
+    assert parts.stack.shape == (n_td, 3**4)
+    assert len(parts.rates) == n_td
+    autonomous = g.superop_parts(g.freeze(gen, 0.7))
+    assert autonomous.stack.shape == (0, 3**4)
+    assert autonomous.at(5.0) is autonomous.static
+
+
 # ---------------------------------------------------------------------------
 # gks_decompose / canonicalize
 # ---------------------------------------------------------------------------
@@ -176,7 +236,7 @@ def test_decompose_round_trip():
     gen = g.random_cp(3, 8, seed=42)
     s = g.reshape(gen)
     h, c, basis = g.gks_decompose(s)
-    rebuilt = g.rebuild_superop(h, c, basis)
+    rebuilt = kron_oracle.rebuild_superop(h, c, basis)
     err = np.linalg.norm(rebuilt.matrix - s.matrix) / np.linalg.norm(s.matrix)
     assert err <= 1e-8
     assert np.linalg.norm(c - c.conj().T) <= 1e-10
