@@ -22,7 +22,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# unused here; kept as an attribute because perfbench/tracer.py patches cli.ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -206,42 +207,19 @@ def cmd_lyapunov(args):
     return exit_code
 
 
-def _sweep_worker(job):
-    dim, n_channels, seed, tol = job
-    gen = genmod.random_cp(dim, n_channels, seed)
-    spec = spectra.relaxation_spectrum(gen)
-    report = spectra.check_bound(spec, dim)
-    gamma_sum = float(np.sum(gen.rates_at(0.0)))
-    return (seed, gamma_sum, report.gamma_max, report.margin, report.saturated,
-            report.margin >= -tol)
-
-
 def cmd_sweep(args):
     if not 2 <= args.dim <= 6:
         raise ValidationError("dim must lie in [2, 6]")
     if args.count < 1:
         raise ValidationError("count must be >= 1")
-    n_channels = args.dim * args.dim - 1
-    jobs = [(args.dim, n_channels, args.seed + k, args.tol) for k in range(args.count)]
-    env_cap = os.environ.get("GKLS_RATES_THREADS")
-    workers = int(env_cap) if env_cap else min(32, os.cpu_count() or 1)
-    workers = max(1, workers)
-    if workers == 1:
-        rows = [_sweep_worker(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
-
-    all_ok = all(row[5] for row in rows)
-    worst = min(row[3] for row in rows)
-    print(f"dim={args.dim} count={args.count} worst margin={fmt17(worst)} all_ok={all_ok}")
+    seeds, n_channels = range(args.seed, args.seed + args.count), args.dim * args.dim - 1
+    gamma_sum, gamma_max, margin, saturated = spectra.bound_sweep(args.dim, n_channels, seeds)
+    all_ok = bool(np.all(margin >= -args.tol))
+    print(f"dim={args.dim} count={args.count} worst margin={fmt17(np.min(margin))} all_ok={all_ok}")
     if args.csv:
         lines = ["seed,gamma_sum,gamma_max,margin,saturated"]
-        for seed, gamma_sum, gamma_max, margin, saturated, _ in rows:
-            lines.append(
-                ",".join([str(seed), fmt17(gamma_sum), fmt17(gamma_max), fmt17(margin),
-                          str(saturated).lower()])
-            )
+        for seed, *values, sat in zip(seeds, gamma_sum, gamma_max, margin, saturated):
+            lines.append(",".join([str(seed), *map(fmt17, values), str(bool(sat)).lower()]))
         atomic_write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_BOUND_VIOLATED
 

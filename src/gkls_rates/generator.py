@@ -11,9 +11,9 @@ operators orthonormal under the Hilbert-Schmidt inner product, which makes
 the rates unique up to degeneracies of the Kossakowski matrix.
 
 Vectorization is row-major throughout: vec(rho) = rho.reshape(d*d), so the
-Kronecker product A (x) B^T acts as rho -> A rho B.  ``superop_parts`` is the
-one assembly of the reshaped d^2 x d^2 generator: batched einsum Kronecker
-products over the stacked noise operators give the Hamiltonian part
+Kronecker product A (x) B^T acts as rho -> A rho B.  One assembly builds the
+reshaped d^2 x d^2 generator, batched over a leading axis: einsum Kronecker
+products over stacked noise operators give the Hamiltonian part
 -i(H (x) 1 - 1 (x) H^T) and the dissipators
 
     D_l = L_l (x) conj(L_l) - 1/2 (L_l^+ L_l (x) 1 + 1 (x) (L_l^+ L_l)^T).
@@ -24,9 +24,11 @@ stay a flattened (n_td, d^4) stack, so that
     L(t) = static + (gamma(t) @ stack).reshape(d^2, d^2).
 
 ``reshape`` and the integrators in ``pauli`` and ``lyapunov`` all read L(t)
-through ``SuperopParts.at``.
+through ``SuperopParts.at``.  ``superop_parts`` runs the assembly with a unit
+batch axis; ``random_cp_batch`` runs it on one random generator per seed.
 """
 
+import functools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ __all__ = [
     "is_canonical",
     "extend",
     "random_cp",
+    "random_cp_batch",
     "gell_mann_basis",
     "vec",
     "unvec",
@@ -290,30 +293,39 @@ class SuperopParts:
 
 
 def _dissipator_sums(weights, ops, d):
-    """Flattened sums sum_l weights[k, l] D_l over the noise operators, one row per k."""
-    k, n = weights.shape
+    """Flattened sums sum_l weights[k, l] D_l, one row per k, over noise operators
+    ``ops`` given per row (k, n, d, d) or shared by all rows (1, n, d, d)."""
+    k = weights.shape[0]
     eye = np.eye(d)
-    ops = np.array(ops, dtype=complex).reshape(n, d, d)
-    flat = ops.reshape(n, d * d)
+    flat = ops.reshape(ops.shape[:2] + (d * d,))
     # sum_l w_kl L_l (x) conj(L_l): the outer products of vec(L_l), regrouped
-    jumps = np.einsum("kl,la,lb->kab", weights, flat, flat.conj())
+    jumps = np.einsum("kl,kla,klb->kab", weights, flat, flat.conj())
     jumps = jumps.reshape(k, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d)
-    damp = np.einsum("kl,lba,lbc->kac", weights, ops.conj(), ops)  # sum_l w_kl L_l^+ L_l
+    damp = np.einsum("kl,klba,klbc->kac", weights, ops.conj(), ops)  # sum_l w_kl L_l^+ L_l
     out = jumps - 0.5 * (_kron(damp, eye) + _kron(eye, damp.transpose(0, 2, 1)))
     return out.reshape(k, d**4)
 
 
-def superop_parts(gen):
-    """The single assembly of the reshaped generator (see the module notes)."""
-    d = gen.dim
+def _assemble(h, weights, ops):
+    """Reshaped generators with Hamiltonians ``h`` and rates ``weights``, batched over k."""
+    d = h.shape[-1]
     eye = np.eye(d)
-    h = gen.hamiltonian
+    ham = -1.0j * (_kron(h, eye) - _kron(eye, h.swapaxes(-1, -2)))
+    return ham + _dissipator_sums(weights, ops, d).reshape(-1, d * d, d * d)
+
+
+def superop_parts(gen):
+    """The reshaped generator of ``gen`` from the one assembly (see the module notes)."""
+    d = gen.dim
     fixed = [ch for ch in gen.channels if not ch.time_dependent]
     varying = [ch for ch in gen.channels if ch.time_dependent]
+    fixed_ops, varying_ops = (
+        np.array([ch.op for ch in chs], dtype=complex).reshape(1, -1, d, d)
+        for chs in (fixed, varying)
+    )
     fixed_rates = np.array([[ch.rate for ch in fixed]], dtype=float)
-    dissipative = _dissipator_sums(fixed_rates, [ch.op for ch in fixed], d)
-    static = -1.0j * (_kron(h, eye) - _kron(eye, h.T)) + dissipative.reshape(d * d, d * d)
-    stack = _dissipator_sums(np.eye(len(varying)), [ch.op for ch in varying], d)
+    static = _assemble(gen.hamiltonian, fixed_rates, fixed_ops)[0]
+    stack = _dissipator_sums(np.eye(len(varying)), varying_ops, d)
     return SuperopParts(static=static, stack=stack, rates=tuple(ch.rate for ch in varying))
 
 
@@ -350,13 +362,17 @@ def gell_mann_basis(d):
     return basis
 
 
+@functools.lru_cache(maxsize=16)
+def _basis_array(d):
+    """``gell_mann_basis(d)`` as a read-only (d^2 - 1, d, d) array, built on first use."""
+    basis = np.array(gell_mann_basis(d))
+    basis.flags.writeable = False
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # GKS decomposition and canonical form
 # ---------------------------------------------------------------------------
-
-def _full_basis(d):
-    return [np.eye(d, dtype=complex) / np.sqrt(d)] + gell_mann_basis(d)
-
 
 def gks_decompose(superop):
     """Recover (H, Kossakowski matrix, basis) from a reshaped generator.
@@ -381,16 +397,15 @@ def gks_decompose(superop):
     # reshuffle S[(i,j),(k,l)] -> R[(i,k),(j,l)]; then R = U c U^+ with the
     # columns of U the vectorized orthonormal basis elements
     r = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    basis_full = _full_basis(d)
-    u = np.stack([vec(g) for g in basis_full], axis=1)
+    basis = _basis_array(d)
+    u = np.column_stack([vec(np.eye(d) / np.sqrt(d)), basis.reshape(-1, d * d).T])
     c = u.conj().T @ r @ u
     if float(np.linalg.norm(c - c.conj().T)) > 1e-8 * snorm:
         raise NotHermiticityPreservingError("process matrix is not Hermitian")
     c = (c + c.conj().T) / 2.0
 
-    basis = basis_full[1:]
     kossakowski = c[1:, 1:]
-    phi = sum(c[k + 1, 0] * basis[k] for k in range(len(basis))) / np.sqrt(d)
+    phi = np.einsum("k,kab->ab", c[1:, 0], basis) / np.sqrt(d)
     phi = phi + (c[0, 0].real / (2.0 * d)) * np.eye(d)
     h = 1.0j * (phi - phi.conj().T) / 2.0
     return h, kossakowski, basis
@@ -405,6 +420,17 @@ def _fix_phase(op):
     return op * (abs(pivot) / pivot)
 
 
+def _canonical_stack(c, basis):
+    """Canonical rates, noise operators and |rate| >= PRUNE_TOL mask of ``c`` (..., n, n)."""
+    c_dag = c.swapaxes(-1, -2).conj()
+    scale = np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))
+    if np.any(np.linalg.norm(c - c_dag, axis=(-2, -1)) > 1e-10 * scale):
+        raise NonHermitianKossakowskiError("Kossakowski matrix is not Hermitian")
+    gammas, mixing = np.linalg.eigh((c + c_dag) / 2.0)
+    ops = np.einsum("...kl,kab->...lab", mixing, basis)
+    return gammas, ops, np.abs(gammas) >= PRUNE_TOL
+
+
 def canonicalize(h, kossakowski, basis=None):
     """Diagonalize the Kossakowski matrix into canonical channels.
 
@@ -414,22 +440,10 @@ def canonicalize(h, kossakowski, basis=None):
     """
     h = matcore.as_matrix(h, "hamiltonian")
     d = h.shape[0]
-    if basis is None:
-        basis = gell_mann_basis(d)
+    basis = _basis_array(d) if basis is None else np.asarray(basis, dtype=complex)
     c = matcore.as_matrix(kossakowski, "kossakowski")
-    scale = max(1.0, float(np.linalg.norm(c)))
-    if float(np.linalg.norm(c - c.conj().T)) > 1e-10 * scale:
-        raise NonHermitianKossakowskiError("Kossakowski matrix is not Hermitian")
-    c = (c + c.conj().T) / 2.0
-
-    gammas, mixing = np.linalg.eigh(c)
-    channels = []
-    for l in range(len(gammas)):
-        g = float(gammas[l])
-        if abs(g) < PRUNE_TOL:
-            continue
-        op = sum(mixing[k, l] * basis[k] for k in range(len(basis)))
-        channels.append((g, _fix_phase(op)))
+    gammas, ops, kept = _canonical_stack(c, basis)
+    channels = [(float(gammas[l]), _fix_phase(ops[l])) for l in np.flatnonzero(kept)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # canonical by construction
         base = build(h, channels)
@@ -509,6 +523,19 @@ def damping_operator(gen, t=0.0):
 # random sampling
 # ---------------------------------------------------------------------------
 
+def _draw_cp(d, n_channels, seed):
+    """GUE-like H and trace-normalized complex Wishart Kossakowski matrix of one seed."""
+    if not 1 <= n_channels <= d * d - 1:
+        raise BadChannelCountError(f"n_channels must lie in [1, {d * d - 1}], got {n_channels}")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
+    h = (a + a.conj().T) / 2.0
+    shape = (d * d - 1, n_channels)
+    b = rng.standard_normal(shape) + 1.0j * rng.standard_normal(shape)
+    c = b @ b.conj().T
+    return h, c / np.trace(c).real
+
+
 def random_cp(d, n_channels, seed):
     """Deterministic completely positive canonical generator.
 
@@ -516,14 +543,14 @@ def random_cp(d, n_channels, seed):
     normalized complex Wishart matrix of rank ``n_channels``, so all
     canonical rates are nonnegative and sum to one.
     """
-    if not 1 <= n_channels <= d * d - 1:
-        raise BadChannelCountError(f"n_channels must lie in [1, {d * d - 1}], got {n_channels}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-    h = (a + a.conj().T) / 2.0
-    b = rng.standard_normal((d * d - 1, n_channels)) + 1.0j * rng.standard_normal(
-        (d * d - 1, n_channels)
-    )
-    c = b @ b.conj().T
-    c = c / np.trace(c).real
-    return canonicalize(h, c).base
+    return canonicalize(*_draw_cp(d, n_channels, seed)).base
+
+
+def random_cp_batch(d, n_channels, seeds):
+    """Stacked (len(seeds), d^2, d^2) superoperators of ``random_cp(d, n_channels, s)``
+    over the seeds s, and the sums of their canonical rates.  The operators skip
+    ``_fix_phase``, which leaves the superoperator unchanged."""
+    h, c = map(np.stack, zip(*[_draw_cp(d, n_channels, s) for s in seeds]))
+    gammas, ops, kept = _canonical_stack(c, _basis_array(d))
+    rates = np.where(kept, gammas, 0.0)
+    return _assemble(h, rates, ops), rates.sum(axis=-1)

@@ -24,15 +24,11 @@ def test_criterion_01_universal_bound():
     worst = np.inf
     count = 0
     for d in (2, 3, 4, 5):
-        for k in range(2500):
-            gen = g.random_cp(d, d * d - 1, seed=1000 * d + k)
-            spec = spectra.relaxation_spectrum(gen)
-            report = spectra.check_bound(spec, d)
-            slack = report.margin + 1e-8 * max(1.0, report.gamma_max)
-            worst = min(worst, slack)
-            count += 1
-            if slack < 0:
-                break
+        seeds = range(1000 * d, 1000 * d + 2500)
+        _, gamma_max, margin, _ = spectra.bound_sweep(d, d * d - 1, seeds)
+        slack = margin + 1e-8 * np.maximum(1.0, gamma_max)
+        worst = min(worst, float(np.min(slack)))
+        count += len(slack)
     criterion(
         1,
         "Gamma_max <= (1/d) sum Gamma on 10^4 random CP generators",

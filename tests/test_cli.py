@@ -231,14 +231,10 @@ def test_sweep_small(tmp_path, capsys):
 
 def test_sweep_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    os.environ["GKLS_RATES_THREADS"] = "2"
-    try:
-        assert cli.main(["sweep", "--dim", "3", "--count", "40", "--seed", "1",
-                         "--csv", str(a)]) == cli.EXIT_OK
-        assert cli.main(["sweep", "--dim", "3", "--count", "40", "--seed", "1",
-                         "--csv", str(b)]) == cli.EXIT_OK
-    finally:
-        del os.environ["GKLS_RATES_THREADS"]
+    assert cli.main(["sweep", "--dim", "3", "--count", "40", "--seed", "1",
+                     "--csv", str(a)]) == cli.EXIT_OK
+    assert cli.main(["sweep", "--dim", "3", "--count", "40", "--seed", "1",
+                     "--csv", str(b)]) == cli.EXIT_OK
     assert a.read_text() == b.read_text()
     capsys.readouterr()
 
@@ -254,19 +250,16 @@ def test_sweep_bad_dim(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, threads",
+    "argv",
     [
-        (["witness", "eternal_nm", "--steps", "0"], None),
-        (["witness", "eternal_nm", "--t1", "-1"], None),
-        (["lyapunov", "dephasing", "--horizon", "-1"], None),
-        (["lyapunov", "dephasing", "--mode", "qr", "--horizon", "0"], None),
-        (["sweep", "--dim", "2", "--count", "2"], "x"),
+        ["witness", "eternal_nm", "--steps", "0"],
+        ["witness", "eternal_nm", "--t1", "-1"],
+        ["lyapunov", "dephasing", "--horizon", "-1"],
+        ["lyapunov", "dephasing", "--mode", "qr", "--horizon", "0"],
     ],
-    ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "threads-not-int"],
+    ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0"],
 )
-def test_bad_numeric_input_exits_2_with_one_line(argv, threads, monkeypatch, capsys):
-    if threads is not None:
-        monkeypatch.setenv("GKLS_RATES_THREADS", threads)
+def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
