@@ -3,17 +3,18 @@
 Everything operates on plain ``numpy.ndarray`` matrices of complex doubles;
 dimensions stay small (operators up to ~10, superoperators up to ~100), so
 robustness is preferred over speed throughout.  Eigendecomposition routes
-Hermitian inputs to the symmetric solver and otherwise uses the general
-Hessenberg/shifted-QR path of LAPACK; the matrix exponential is
-scaling-and-squaring with Pade approximants, which behaves uniformly on
-defective inputs.  ``rk4`` is the one fixed-step integrator of the package.
+Hermitian inputs to the symmetric solver and otherwise makes one paired
+LAPACK solve for eigenvalues with left and right vectors, taking
+left = inv(right)^dagger so that the pair is exactly biorthonormal whenever
+the input is not defective; the matrix exponential is scaling-and-squaring
+with Pade approximants, which behaves uniformly on defective inputs.
+``rk4`` is the one fixed-step integrator of the package.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     IterationLimitError,
@@ -63,10 +64,11 @@ def is_hermitian(m, rtol=_HERMITIAN_RTOL):
 
 @dataclass(frozen=True)
 class EigResult:
-    """Eigenvalues with matched right and left eigenvectors.
+    """Eigenvalues with paired right and left eigenvectors.
 
-    Columns of ``right_vectors``/``left_vectors`` are paired so that, for
-    well-conditioned inputs, <u_j, v_k> = delta_jk after normalization.
+    Column k of ``right_vectors`` and of ``left_vectors`` belong to
+    ``values[k]``.  For inputs that are not defective the left vectors are
+    inv(right_vectors)^dagger, so <u_j, v_k> = delta_jk up to rounding.
     ``vector_condition`` is the 2-norm condition number of the right-vector
     matrix; values at or above ``DEFECT_THRESHOLD`` flag a (near-)defective
     input whose eigenvectors should not be trusted.
@@ -82,44 +84,16 @@ class EigResult:
         return self.vector_condition >= DEFECT_THRESHOLD
 
 
-def _biorthogonalize(values, right, left):
-    """Rescale left vectors so that left^dagger @ right = identity.
-
-    Eigenvalues are grouped into near-degenerate clusters and each cluster
-    block is corrected at once; cross terms between distinct eigenvalues are
-    already small for well-conditioned inputs.
-    """
-    scale = max(1.0, float(np.max(np.abs(values))))
-    ctol = 1e-6 * scale
-    order = np.lexsort((values.imag, values.real))
-    clusters = []
-    current = [order[0]]
-    for idx in order[1:]:
-        if abs(values[idx] - values[current[-1]]) <= ctol:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-    clusters.append(current)
-
-    fixed = left.copy()
-    for cluster in clusters:
-        cols = np.array(cluster)
-        block = fixed[:, cols].conj().T @ right[:, cols]
-        try:
-            x = np.linalg.solve(block.conj().T, np.eye(len(cols)))
-        except np.linalg.LinAlgError:
-            continue  # leave this cluster unnormalized; condition flag covers it
-        fixed[:, cols] = fixed[:, cols] @ x
-    return fixed
-
-
 def eig(m):
-    """Full eigendecomposition with matched left/right vectors.
+    """Full eigendecomposition with paired left/right vectors.
 
     Hermitian inputs (relative asymmetry below 1e-12) take the symmetric
-    path and report a unit vector condition.  Defective inputs still return
-    eigenvalues; the condition number flags that vectors are unreliable.
+    path and report a unit vector condition.  Otherwise one paired LAPACK
+    solve gives eigenvalues with left and right vectors in the same column
+    order; unless the input is defective, left = inv(right)^dagger, whose
+    columns are left eigenvectors with left^dagger @ right = identity exactly,
+    degenerate clusters included.  Defective inputs keep LAPACK's unit-norm
+    left vectors; the condition number flags that vectors are unreliable.
     """
     m = as_matrix(m)
     _require_square(m, "eig")
@@ -134,30 +108,21 @@ def eig(m):
         )
 
     try:
-        values, right = np.linalg.eig(m)
-        lvalues, left = np.linalg.eig(m.conj().T)
+        # as_matrix has already rejected non-finite entries
+        values, left, right = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IterationLimitError(f"eigenvalue iteration failed: {exc}") from exc
 
     cond = float(np.linalg.cond(right))
     if not np.isfinite(cond):
         cond = np.inf
-
-    # pair each left column with the right column it overlaps most; the
-    # left solve of the conjugate transpose returns eigenvalues conj(values)
-    # in arbitrary order
-    overlap = np.abs(left.conj().T @ right)
-    rows, cols = linear_sum_assignment(-overlap)
-    matched = np.empty_like(left)
-    matched[:, cols] = left[:, rows]
-
     if cond < DEFECT_THRESHOLD:
-        matched = _biorthogonalize(values, right, matched)
+        left = np.linalg.inv(right).conj().T
 
     return EigResult(
         values=values,
         right_vectors=right,
-        left_vectors=matched,
+        left_vectors=left,
         vector_condition=cond,
     )
 

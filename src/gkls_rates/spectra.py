@@ -135,9 +135,10 @@ def check_bound(spectrum, d):
 
 
 def bound_sweep(d, n_channels, seeds):
-    """Per-seed arrays (gamma_sum, gamma_max, margin, saturated) of the bound on
-    ``random_cp(d, n_channels, s)``, from stacked superoperators of SWEEP_CHUNK
-    seeds at a time, eigenvalues only; gamma_sum sums the canonical rates."""
+    """Per-seed arrays (gamma_sum, gamma_max, margin, saturated, satisfied) of the
+    bound on ``random_cp(d, n_channels, s)``, from stacked superoperators of
+    SWEEP_CHUNK seeds at a time, eigenvalues only; gamma_sum sums the canonical
+    rates, and saturated/satisfied use the tolerance of ``check_bound``."""
     seeds = list(seeds)
     parts = []
     for start in range(0, len(seeds), SWEEP_CHUNK):
@@ -148,7 +149,7 @@ def bound_sweep(d, n_channels, seeds):
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigFailureError(str(exc)) from exc
         gamma_max, _, margin, tol = _bound_terms(rates, d)
-        parts.append((gamma_sum, gamma_max, margin, np.abs(margin) <= tol))
+        parts.append((gamma_sum, gamma_max, margin, np.abs(margin) <= tol, margin >= -tol))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 

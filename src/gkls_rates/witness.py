@@ -31,7 +31,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-MARGIN_TOL_SCALE = 1e-8
 _BISECT_RESOLUTION = 1e-6
 
 
@@ -66,16 +65,9 @@ def local_spectrum(gen, t):
     return spectra.relaxation_spectrum(genmod.freeze(gen, t))
 
 
-def _margin_at(gen, t):
+def _bound_at(gen, t):
     spec = local_spectrum(gen, t)
-    rates = spec.rates
-    gamma_max = float(rates[-1])
-    margin = float(np.sum(rates[1:]) / gen.dim - gamma_max)
-    return margin, rates, gamma_max
-
-
-def _violates(margin, gamma_max):
-    return margin < -MARGIN_TOL_SCALE * max(1.0, gamma_max)
+    return spec.rates, spectra.check_bound(spec, gen.dim)
 
 
 def scan(gen, grid):
@@ -97,19 +89,17 @@ def scan(gen, grid):
     margin = np.empty(n)
     violating = np.empty(n, dtype=bool)
     for i, t in enumerate(grid):
-        m, rates, gamma_max = _margin_at(gen, t)
-        relax[i] = rates
-        margin[i] = m
-        violating[i] = _violates(m, gamma_max)
+        relax[i], report = _bound_at(gen, t)
+        margin[i] = report.margin
+        violating[i] = not report.satisfied
 
     def refine(t_ok, t_bad):
         while abs(t_bad - t_ok) > _BISECT_RESOLUTION:
             mid = 0.5 * (t_ok + t_bad)
-            m, _, gmax = _margin_at(gen, mid)
-            if _violates(m, gmax):
-                t_bad = mid
-            else:
+            if _bound_at(gen, mid)[1].satisfied:
                 t_ok = mid
+            else:
+                t_bad = mid
         return t_bad
 
     intervals = []

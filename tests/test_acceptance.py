@@ -25,7 +25,7 @@ def test_criterion_01_universal_bound():
     count = 0
     for d in (2, 3, 4, 5):
         seeds = range(1000 * d, 1000 * d + 2500)
-        _, gamma_max, margin, _ = spectra.bound_sweep(d, d * d - 1, seeds)
+        _, gamma_max, margin, _, _ = spectra.bound_sweep(d, d * d - 1, seeds)
         slack = margin + 1e-8 * np.maximum(1.0, gamma_max)
         worst = min(worst, float(np.min(slack)))
         count += len(slack)

@@ -16,19 +16,23 @@ from gkls_rates import spectra
 def per_seed_row(d, n_channels, seed):
     gen = g.random_cp(d, n_channels, seed)
     report = spectra.check_bound(spectra.relaxation_spectrum(gen), d)
-    return float(np.sum(gen.rates_at(0.0))), report.gamma_max, report.margin, report.saturated
+    return (float(np.sum(gen.rates_at(0.0))), report.gamma_max, report.margin,
+            report.saturated, report.satisfied)
 
 
 def assert_matches_oracle(d, n_channels, seeds):
-    gamma_sum, gamma_max, margin, saturated = spectra.bound_sweep(d, n_channels, seeds)
+    gamma_sum, gamma_max, margin, saturated, satisfied = spectra.bound_sweep(d, n_channels, seeds)
     assert len(margin) == len(seeds)
     for k, seed in enumerate(seeds):
-        want_sum, want_max, want_margin, want_saturated = per_seed_row(d, n_channels, seed)
+        want_sum, want_max, want_margin, want_saturated, want_satisfied = per_seed_row(
+            d, n_channels, seed
+        )
         tol = 1e-12 * max(1.0, want_max)
         assert abs(gamma_max[k] - want_max) <= tol
         assert abs(margin[k] - want_margin) <= tol
         assert abs(gamma_sum[k] - want_sum) <= tol
         assert bool(saturated[k]) == want_saturated
+        assert bool(satisfied[k]) == want_satisfied
 
 
 @st.composite

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkls_rates import matcore
+from gkls_rates import generator, matcore, witness
 from gkls_rates.errors import (
     NonSquareError,
     RankDeficientError,
     ShapeMismatchError,
 )
+
+import eig_oracle
 
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -18,6 +20,22 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def similarity_mixed_degenerate(rng):
+    # block diag with a doubly degenerate eigenvalue, mixed by a similarity
+    d = np.diag([2.0, 2.0, -1.0, 0.5]).astype(complex)
+    t = random_matrix(rng, 4, 0.5) + 2 * np.eye(4)
+    return t @ d @ np.linalg.inv(t)
+
+
+def assert_left_eigenvectors(m, res):
+    """u_k^dagger M = lambda_k u_k^dagger for every left column u_k."""
+    norm = np.linalg.norm(m, 2)
+    for k in range(m.shape[0]):
+        u = res.left_vectors[:, k]
+        residual = u.conj() @ m - res.values[k] * u.conj()
+        assert np.linalg.norm(residual) <= 1e-10 * norm * np.linalg.norm(u)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +54,10 @@ def test_eig_nilpotent_flags_defect():
     assert np.allclose(res.values, 0.0)
     assert res.vector_condition >= matcore.DEFECT_THRESHOLD
     assert res.is_defective
+    # u^dagger M = 0 forces u proportional to (0, 1)
+    for k in range(2):
+        u = res.left_vectors[:, k]
+        assert abs(u[0]) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_eig_dephasing_superoperator():
@@ -61,25 +83,24 @@ def test_eig_rejects_nonfinite():
 
 
 def test_eig_residual_and_biorthogonality(rng):
-    for n in (3, 5, 8):
-        m = random_matrix(rng, n)
+    gkls = generator.reshape(generator.random_cp(3, 5, seed=21)).matrix
+    for m in [random_matrix(rng, n) for n in (3, 5, 8)] + [gkls]:
+        n = m.shape[0]
         res = matcore.eig(m)
         norm = np.linalg.norm(m, 2)
         for k in range(n):
             v = res.right_vectors[:, k]
             assert np.linalg.norm(m @ v - res.values[k] * v) <= 1e-10 * norm * np.linalg.norm(v)
+        assert_left_eigenvectors(m, res)
         gram = res.left_vectors.conj().T @ res.right_vectors
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
 
 
 def test_eig_biorthogonality_with_degenerate_eigenvalues():
-    # block diag with a doubly degenerate eigenvalue, mixed by a similarity
-    rng = np.random.default_rng(7)
-    d = np.diag([2.0, 2.0, -1.0, 0.5]).astype(complex)
-    t = random_matrix(rng, 4, 0.5) + 2 * np.eye(4)
-    m = t @ d @ np.linalg.inv(t)
+    m = similarity_mixed_degenerate(np.random.default_rng(7))
     res = matcore.eig(m)
     assert res.vector_condition < matcore.DEFECT_THRESHOLD
+    assert_left_eigenvectors(m, res)
     gram = res.left_vectors.conj().T @ res.right_vectors
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
 
@@ -102,6 +123,79 @@ def test_eig_hermitian_route_left_equals_right(rng):
     assert res.vector_condition == 1.0
     assert np.allclose(res.left_vectors, res.right_vectors)
     assert np.allclose(res.values.imag, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# eig against the two-solve oracle
+# ---------------------------------------------------------------------------
+
+EIG_KINDS = ("random", "random_cp", "frozen_qubit", "dephasing", "paper_qubit",
+             "mixed_degenerate", "jordan", "nilpotent")
+DEFECTIVE_KINDS = ("jordan", "nilpotent")
+TD_QUBIT_RATES = ("1 + 0.5*sin(t)", "exp(-t)", "-tanh(t)", "0.3*cos(2*t)")
+
+
+def eig_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_matrix(rng, int(rng.integers(2, 10)))
+    if kind == "random_cp":
+        d = int(rng.integers(2, 5))
+        gen = generator.random_cp(d, int(rng.integers(1, d * d)), seed)
+        return generator.reshape(gen).matrix
+    if kind == "frozen_qubit":
+        rates = rng.permutation(TD_QUBIT_RATES)[:3]
+        gen = witness.qubit_generator(*rates, omega=float(rng.uniform(-2.0, 2.0)))
+        return generator.reshape(generator.freeze(gen, float(rng.uniform(0.0, 5.0)))).matrix
+    if kind in ("dephasing", "paper_qubit"):
+        return generator.reshape(witness.preset(kind)).matrix
+    if kind == "mixed_degenerate":
+        return similarity_mixed_degenerate(rng)
+    if kind == "jordan":  # one Jordan block beside a diagonal, permuted exactly
+        k, extra = int(rng.integers(2, 5)), int(rng.integers(0, 4))
+        lam = complex(*rng.standard_normal(2))
+        block = lam * np.eye(k) + np.diag(np.ones(k - 1), 1)
+        m = np.zeros((k + extra, k + extra), dtype=complex)
+        m[:k, :k] = block
+        m[k:, k:] = np.diag(rng.standard_normal(extra) + 1j * rng.standard_normal(extra))
+        perm = rng.permutation(k + extra)
+        return m[np.ix_(perm, perm)]
+    n = int(rng.integers(2, 6))  # nilpotent: strictly upper triangular
+    return np.triu(random_matrix(rng, n), 1)
+
+
+def spectral_projectors(res, ctol):
+    """sum_{k in cluster} v_k u_k^dagger per eigenvalue cluster, in sorted order."""
+    order = np.lexsort((res.values.imag, res.values.real))
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if abs(res.values[idx] - res.values[clusters[-1][-1]]) <= ctol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return [res.right_vectors[:, c] @ res.left_vectors[:, c].conj().T for c in clusters]
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(EIG_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_eig_matches_two_solve_oracle(kind, seed):
+    m = eig_case(kind, seed)
+    got, want = matcore.eig(m), eig_oracle.eig(m)
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    vtol = (1e-6 if kind in DEFECTIVE_KINDS else 1e-12) * scale
+    assert np.max(np.abs(np.sort_complex(got.values) - np.sort_complex(want.values))) <= vtol
+    assert got.is_defective == want.is_defective
+    if got.is_defective:
+        assert kind in DEFECTIVE_KINDS
+        return
+    cond = max(1.0, got.vector_condition)
+    ctol = 1e-6 * max(1.0, float(np.max(np.abs(want.values))))
+    got_p, want_p = spectral_projectors(got, ctol), spectral_projectors(want, ctol)
+    assert len(got_p) == len(want_p)
+    for p, q in zip(got_p, want_p):
+        assert np.linalg.norm(p - q, 2) <= 1e-9 * cond
+    gram = got.left_vectors.conj().T @ got.right_vectors
+    assert np.max(np.abs(gram - np.eye(len(m)))) <= 1e-12 * cond
 
 
 # ---------------------------------------------------------------------------
