@@ -150,7 +150,8 @@ def cmd_analyze(args):
 
 def cmd_witness(args):
     gen, label = _resolve_generator(args.target, args.file)
-    grid = np.linspace(args.t0, args.t1, args.steps)
+    with np.errstate(invalid="ignore"):  # scan rejects the NaN points of an infinite end
+        grid = np.linspace(args.t0, args.t1, args.steps)
     report = witness.scan(gen, grid)
     n_viol = len(report.violation_intervals)
     print(f"label: {label or '-'}  grid: [{args.t0}, {args.t1}] x {args.steps}")

@@ -26,7 +26,7 @@ from .errors import (
     UnconvergedError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import hs_inner, qr, rk4
+from .matcore import hs_inner, qr
 
 __all__ = [
     "LyapunovEstimate",
@@ -80,6 +80,22 @@ def _default_interval(gen, horizon):
     if scale <= 0.0:
         return horizon / 256.0
     return min(0.5 / scale, horizon / 8.0)
+
+
+def _step_grid(gen, horizon, interval, name):
+    """Step count, step length and burn-in step: at least 8 equal steps, none
+    longer than the interval; horizon and interval must be finite and positive."""
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if interval is None:
+        interval = _default_interval(gen, horizon)
+    if not (np.isfinite(interval) and interval > 0.0):
+        raise ValueError(f"{name} interval must be finite and positive, got {interval}")
+    steps = np.ceil(horizon / interval)  # inf when the ratio overflows
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{name} interval {interval} implies {steps:.0f} steps")
+    steps = max(int(steps), 8)
+    return steps, horizon / steps, max(1, int(round(0.2 * steps)))
 
 
 def _windows_from_series(times, values, burn_index):
@@ -145,8 +161,7 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     """
     if gen.time_dependent:
         raise TimeDependentError("backward estimation requires an autonomous generator")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    steps, delta, burn_index = _step_grid(gen, horizon, renorm_interval, "renorm")
 
     spectrum = spectra.relaxation_spectrum(gen)
     gamma_max = float(spectrum.rates[-1])
@@ -166,13 +181,6 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
             f"overlap with the dominant left mode is {best:.2e}"
         )
 
-    delta = renorm_interval if renorm_interval is not None else _default_interval(gen, horizon)
-    steps = int(np.ceil(horizon / delta))
-    if steps > _MAX_STEPS:
-        raise ValueError(f"renorm interval {delta} implies {steps} steps")
-    steps = max(steps, 8)
-    delta = horizon / steps
-
     smat = genmod.reshape(gen).matrix
     prop = scipy.linalg.expm(-delta * smat)
     d = gen.dim
@@ -190,7 +198,6 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
         times.append(k * delta)
         values.append(logsum + np.log(max(_population_norm(v, d, norm), 1e-300)))
 
-    burn_index = max(1, int(round(0.2 * steps)))
     chi, gap, windows = _windows_from_series(np.array(times), np.array(values), burn_index)
     estimate = LyapunovEstimate(
         chi=float(chi),
@@ -211,10 +218,6 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     return estimate
 
 
-def _sampled_opnorm(parts, horizon, samples=65):
-    return max(float(np.linalg.norm(parts.at(t))) for t in np.linspace(0.0, horizon, samples))
-
-
 def qr_spectrum(gen, horizon, reortho_interval=None):
     """Full exponent spectrum of the auxiliary flow via periodic QR.
 
@@ -224,37 +227,25 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     spectrum converges to the sorted relaxation rates; one exponent always
     vanishes by trace preservation.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    delta = reortho_interval if reortho_interval is not None else _default_interval(gen, horizon)
-    steps = int(np.ceil(horizon / delta))
-    if steps > _MAX_STEPS:
-        raise ValueError(f"reortho interval {delta} implies {steps} steps")
-    steps = max(steps, 8)
-    delta = horizon / steps
-
+    steps, delta, burn_k = _step_grid(gen, horizon, reortho_interval, "reortho")
     n = gen.dim * gen.dim
     autonomous = not gen.time_dependent
     if autonomous:
         prop = scipy.linalg.expm(-delta * genmod.reshape(gen).matrix)
     else:
         parts = genmod.superop_parts(gen)
-        scale = max(_sampled_opnorm(parts, horizon), 1e-12)
-        substeps = max(4, int(np.ceil(delta * scale * 50.0)))
-
-        def backward(t, z):
-            return -(parts.at(t) @ z)
+        norms = np.linalg.norm(parts.at(np.linspace(0.0, horizon, 65)), axis=(1, 2))
+        substeps = max(4, int(np.ceil(delta * max(float(np.max(norms)), 1e-12) * 50.0)))
 
     q = np.eye(n, dtype=complex)
     acc = np.zeros(n)
     # snapshots for burn-in removal and the convergence diagnostics
-    burn_k = max(1, int(round(0.2 * steps)))
     snap_at = sorted({burn_k} | {max(1, int(round(f * steps))) for f in (0.5, 0.75)})
     snaps = {}
     top_series_t = [0.0]
     top_series_v = [0.0]
     for k in range(1, steps + 1):
-        z = prop @ q if autonomous else rk4(backward, q, (k - 1) * delta, k * delta, substeps)
+        z = prop @ q if autonomous else parts.flow(q, (k - 1) * delta, k * delta, substeps, -1.0)
         try:
             q, r = qr(z)
         except RankDeficientError as exc:

@@ -8,7 +8,8 @@ LAPACK solve for eigenvalues with left and right vectors, taking
 left = inv(right)^dagger so that the pair is exactly biorthonormal whenever
 the input is not defective; the matrix exponential is scaling-and-squaring
 with Pade approximants, which behaves uniformly on defective inputs.
-``rk4`` is the one fixed-step integrator of the package.
+``rk4`` is the one fixed-step integrator of the package; it reads v' = A(t) v
+from a stack of A at its stage times, each distinct time evaluated once.
 """
 
 from dataclasses import dataclass
@@ -161,17 +162,17 @@ def matrix_norm(a, kind):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def rk4(fn, v, a, b, n):
-    """Classical fourth-order Runge-Kutta for v' = fn(t, v): n equal steps from a to b."""
-    h = (b - a) / n
-    t = a
-    for _ in range(n):
-        k1 = fn(t, v)
-        k2 = fn(t + h / 2.0, v + (h / 2.0) * k1)
-        k3 = fn(t + h / 2.0, v + (h / 2.0) * k2)
-        k4 = fn(t + h, v + h * k3)
+def rk4(stages, v, h):
+    """Classical fourth-order Runge-Kutta for v' = A(t) v over n steps of length h.
+
+    ``stages`` stacks A at the 2n + 1 equally spaced stage times: step j reads
+    stage 2j in k1, 2j + 1 in k2 and k3, and 2j + 2 in k4 and the next k1."""
+    for j in range(0, len(stages) - 1, 2):
+        k1 = stages[j] @ v
+        k2 = stages[j + 1] @ (v + (h / 2.0) * k1)
+        k3 = stages[j + 1] @ (v + (h / 2.0) * k2)
+        k4 = stages[j + 2] @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
     return v
 
 

@@ -90,24 +90,25 @@ def _check_state(rho, d):
     return (rho + rho.conj().T) / 2.0
 
 
-def _integrate_segment(fn, v, a, b, scale):
+def _integrate_segment(parts, v, a, b):
     """RK4 with step halving until the Richardson estimate meets tolerance."""
     span = abs(b - a)
     if span == 0.0:
         return v
-    n = max(2, int(np.ceil(span * scale * 0.5)))
+    norms = np.linalg.norm(parts.at(np.array([a, b, (a + b) / 2.0])), axis=(1, 2))
+    n = max(2, int(np.ceil(span * max(float(np.max(norms)), 1e-12) * 0.5)))
     if n > _MAX_SEGMENT_STEPS:
         raise StepSizeUnderflowError(
             f"segment [{a}, {b}] needs ~{n} steps, above the budget {_MAX_SEGMENT_STEPS}"
         )
-    coarse = rk4(fn, v, a, b, n)
+    coarse = parts.flow(v, a, b, n)
     while True:
         n *= 2
         if n > _MAX_SEGMENT_STEPS:
             raise StepSizeUnderflowError(
                 f"requested accuracy unreachable on [{a}, {b}] within {_MAX_SEGMENT_STEPS} steps"
             )
-        fine = rk4(fn, v, a, b, n)
+        fine = parts.flow(v, a, b, n)
         err = float(np.linalg.norm(fine - coarse)) / max(1.0, float(np.linalg.norm(fine)))
         if err <= _RICHARDSON_TOL * span:
             return fine
@@ -145,24 +146,11 @@ def evolve(gen, rho0, grid):
         return Trajectory(grid=grid, states=tuple(states))
 
     parts = genmod.superop_parts(gen)
-
-    def rhs(t, v):
-        return parts.at(t) @ v
-
-    def opnorm_at(t):
-        return float(np.linalg.norm(parts.at(t)))
-
-    def step(v, a, b):
-        if a == b:
-            return v
-        scale = max(opnorm_at(a), opnorm_at(b), opnorm_at((a + b) / 2.0), 1e-12)
-        return _integrate_segment(rhs, v, a, b, scale)
-
     states = []
-    v = step(v0, 0.0, float(grid[0]))
+    v = _integrate_segment(parts, v0, 0.0, float(grid[0]))
     for k in range(len(grid)):
         if k:
-            v = step(v, float(grid[k - 1]), float(grid[k]))
+            v = _integrate_segment(parts, v, float(grid[k - 1]), float(grid[k]))
         rho = genmod.unvec(v, d)
         rho = (rho + rho.conj().T) / 2.0
         v = genmod.vec(rho)
@@ -322,18 +310,11 @@ def classical_propagator(canonical, track, j, k):
         raise NegativePopulationsError(
             "populations are not strictly positive on the window"
         )
-    d = track.populations.shape[1]
-    f = np.eye(d)
-    for m in range(j, k):
-        w0 = teich_mahler(canonical, track, m).w
-        w1 = teich_mahler(canonical, track, m + 1).w
-        h = float(track.grid[m + 1] - track.grid[m])
-
-        def rhs(s, p):  # W linearly interpolated on [0, h]
-            lam = s / h
-            return ((1.0 - lam) * w0 + lam * w1) @ p
-
-        f = rk4(rhs, f, 0.0, h, 1)
+    ws = [teich_mahler(canonical, track, m).w for m in range(j, k + 1)]
+    f = np.eye(track.populations.shape[1])
+    for w0, w1, h in zip(ws, ws[1:], np.diff(track.grid[j : k + 1])):
+        # one step with W linearly interpolated between two grid samples
+        f = rk4(np.array([w0, (w0 + w1) / 2.0, w1]), f, float(h))
     return f
 
 

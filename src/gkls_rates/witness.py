@@ -78,6 +78,8 @@ def scan(gen, grid):
     time resolution.
     """
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be non-empty and strictly increasing")
     if grid[0] < 0.0:

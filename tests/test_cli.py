@@ -256,9 +256,16 @@ def test_sweep_bad_dim(capsys):
         ["witness", "eternal_nm", "--t1", "-1"],
         ["lyapunov", "dephasing", "--horizon", "-1"],
         ["lyapunov", "dephasing", "--mode", "qr", "--horizon", "0"],
+        ["lyapunov", "dephasing", "--horizon", "inf"],
+        ["lyapunov", "dephasing", "--horizon", "nan"],
+        ["lyapunov", "dephasing", "--mode", "qr", "--horizon", "inf"],
+        ["witness", "dephasing", "--t0", "nan"],
+        ["witness", "eternal_nm", "--t1", "inf"],
     ],
-    ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0"],
+    ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
+         "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf"],
 )
+@pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err

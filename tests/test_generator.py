@@ -210,11 +210,13 @@ def assembly_case(kind, d, seed):
 def test_assembly_matches_kron_oracle(d, kind, seed, t):
     gen = assembly_case(kind, d, seed)
     parts = g.superop_parts(gen)
-    for s in (0.0, t, 2.5 * t):
+    times = (0.0, t, 2.5 * t)
+    for s, stacked in zip(times, parts.at(np.array(times))):
         expected = kron_oracle.reshape(gen, s)
         tol = 1e-13 * max(1.0, float(np.linalg.norm(expected)))
         assert np.linalg.norm(g.reshape(gen, s).matrix - expected) <= tol
         assert np.linalg.norm(parts.at(s) - expected) <= tol
+        assert np.linalg.norm(stacked - expected) <= tol
 
 
 def test_assembly_splits_time_dependent_channels():

@@ -157,6 +157,17 @@ def test_qr_determinant_identity_time_dependent():
     assert abs(total - expected) <= 1e-6 * expected
 
 
+@pytest.mark.parametrize("interval", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("estimator", ["backward", "qr"])
+def test_estimators_reject_bad_interval(estimator, interval):
+    gen = witness.preset("amplitude_damping")
+    with pytest.raises(ValueError, match="interval must be finite and positive"):
+        if estimator == "backward":
+            lyapunov.max_exponent_backward(gen, COHERENT, horizon=5.0, renorm_interval=interval)
+        else:
+            lyapunov.qr_spectrum(gen, horizon=5.0, reortho_interval=interval)
+
+
 # ---------------------------------------------------------------------------
 # divisibility bounds
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def test_bound_amplitude_damping_saturates():
     assert report.margin == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["amplitude_damping", "dephasing"])
+def test_bound_saturates_embedded_in_d_levels(name, d):
+    # the jump |0><1| and two-level dephasing stay on the bound in any dimension
+    gen = witness.preset(name)
+    if d > 2:
+        gen = g.extend(gen, d - 2)
+    report = spectra.check_bound(spectra.relaxation_spectrum(gen), d)
+    assert report.saturated
+    assert abs(report.margin) <= 1e-12 * max(1.0, report.gamma_max)
+
+
 def test_bound_paper_qubit_margin_one():
     spec = spectra.relaxation_spectrum(witness.preset("paper_qubit"))
     report = spectra.check_bound(spec, 2)
