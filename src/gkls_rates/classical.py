@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generator as genmod
+from . import matcore
 from .errors import (
     ColumnSumError,
     NegativeOffDiagonalError,
@@ -26,9 +27,6 @@ __all__ = [
     "lindblad_to_kolmogorov",
     "classical_spectrum",
 ]
-
-OFFDIAG_TOL = 1e-12
-COLSUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,22 @@ class KolmogorovGenerator:
 
 
 def validate(k):
-    """Check the sign and column-sum conditions and wrap the matrix."""
+    """Check the sign and column-sum conditions and wrap the matrix.
+
+    The first negative off-diagonal entry is reported in column order."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"expected a square real matrix, got shape {k.shape}")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("generator matrix contains non-finite entries")
     d = k.shape[0]
     scale = max(1.0, float(np.max(np.abs(k))) if k.size else 1.0)
-    for j in range(d):
-        for i in range(d):
-            if i != j and k[i, j] < -OFFDIAG_TOL * scale:
-                raise NegativeOffDiagonalError(i, j, float(k[i, j]))
+    negative = (k < -matcore.EXACT_TOL * scale) & ~np.eye(d, dtype=bool)
+    if np.any(negative):
+        j, i = np.argwhere(negative.T)[0]
+        raise NegativeOffDiagonalError(int(i), int(j), float(k[i, j]))
     sums = k.sum(axis=0)
-    bad = np.flatnonzero(np.abs(sums) > COLSUM_TOL * scale)
+    bad = np.flatnonzero(np.abs(sums) > matcore.EXACT_TOL * scale)
     if bad.size:
         raise ColumnSumError(int(bad[0]), float(sums[bad[0]]))
     return KolmogorovGenerator(dim=d, k=k)
@@ -69,6 +71,10 @@ def from_rates(rates):
     decays to state d at rate r_1; the last column is zero.
     """
     rates = [float(r) for r in rates]
+    if not rates:
+        raise ValueError("at least one rate is required")
+    if not np.all(np.isfinite(rates)):
+        raise ValueError(f"rates must be finite, got {rates}")
     if any(r < 0.0 for r in rates):
         raise NegativeRateError(f"rates must be nonnegative, got {rates}")
     d = len(rates) + 1
@@ -93,8 +99,8 @@ def lindblad_to_kolmogorov(canonical, basis):
     if b.shape != (d, d):
         raise NonOrthonormalBasisError(f"expected {d} basis vectors of length {d}")
     gram = b.conj().T @ b
-    if float(np.max(np.abs(gram - np.eye(d)))) > 1e-10:
-        raise NonOrthonormalBasisError("basis vectors are not orthonormal to 1e-10")
+    if float(np.max(np.abs(gram - np.eye(d)))) > matcore.INPUT_TOL:
+        raise NonOrthonormalBasisError(f"basis vectors are not orthonormal to {matcore.INPUT_TOL}")
 
     k = np.zeros((d, d))
     for j in range(d):

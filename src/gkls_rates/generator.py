@@ -23,13 +23,16 @@ stay a flattened (n_td, d^4) stack, so that
 
     L(t) = static + (gamma(t) @ stack).reshape(d^2, d^2).
 
-``reshape`` and the integrators in ``pauli`` and ``lyapunov`` all read L(t)
-through ``SuperopParts.at``; the integrators read it as stacks at the RK4 stage
-times (``SuperopParts.flow``).  ``superop_parts`` runs the assembly with a unit
+``reshape`` returns L(t) at one time as a plain d^2 x d^2 array.  It and the
+integrators in ``pauli`` and ``lyapunov`` all read L(t) through
+``SuperopParts.at``; the integrators read it as stacks at the RK4 stage times
+(``SuperopParts.flow``).  ``superop_parts`` runs the assembly with a unit
 batch axis; ``random_cp_batch`` runs it on one random generator per seed.
+Every tolerance here is a level of the table in ``matcore``.
 """
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -51,7 +54,6 @@ __all__ = [
     "Channel",
     "GklsGenerator",
     "CanonicalForm",
-    "Superoperator",
     "SuperopParts",
     "SIGMA_X",
     "SIGMA_Y",
@@ -75,10 +77,6 @@ __all__ = [
     "vec",
     "unvec",
 ]
-
-ORTHO_TOL = 1e-10
-CP_TOL = 1e-12
-PRUNE_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -139,15 +137,7 @@ class CanonicalForm:
     def completely_positive(self):
         if self.base.time_dependent:
             raise TimeDependentError("CP flag is time dependent; inspect rates_at(t)")
-        return bool(np.all(self.base.rates_at() >= -CP_TOL))
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Reshaped generator acting on row-major vectorized matrices."""
-
-    matrix: np.ndarray
-    dim: int
+        return bool(np.all(self.base.rates_at() >= -matcore.EXACT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +160,7 @@ def _coerce_rate(rate):
 def build(hamiltonian, channels):
     """Validate and assemble a generator.
 
-    The Hamiltonian must be Hermitian to 1e-12 (relative) and is symmetrized
+    The Hamiltonian must be Hermitian to EXACT_TOL (relative) and is symmetrized
     on storage.  Channels that are not traceless-orthonormal only draw a
     warning; ``canonicalize`` repairs such representations.
     """
@@ -178,9 +168,8 @@ def build(hamiltonian, channels):
     d = h.shape[0]
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"hamiltonian must be square, got {h.shape}")
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if float(np.linalg.norm(h - h.conj().T)) > 1e-12 * scale:
-        raise NonHermitianHamiltonianError("hamiltonian is not Hermitian to 1e-12")
+    if not matcore.is_hermitian(h, matcore.EXACT_TOL):
+        raise NonHermitianHamiltonianError(f"hamiltonian is not Hermitian to {matcore.EXACT_TOL}")
     h = (h + h.conj().T) / 2.0
 
     built = []
@@ -198,7 +187,7 @@ def build(hamiltonian, channels):
         channels=tuple(built),
         time_dependent=any(ch.time_dependent for ch in built),
     )
-    if built and not is_canonical(gen, tol=1e-8):
+    if built and not is_canonical(gen, tol=matcore.SPECTRAL_TOL):
         warnings.warn(
             "channels are not traceless-orthonormal; canonicalize() repairs this",
             stacklevel=2,
@@ -206,7 +195,7 @@ def build(hamiltonian, channels):
     return gen
 
 
-def is_canonical(gen, tol=ORTHO_TOL):
+def is_canonical(gen, tol=matcore.INPUT_TOL):
     """True when all noise operators are traceless and HS-orthonormal."""
     ops = gen.noise_ops()
     if not ops:
@@ -350,8 +339,8 @@ def superop_parts(gen):
 
 
 def reshape(gen, t=0.0):
-    """Reshaped d^2 x d^2 superoperator of the generator frozen at time ``t``."""
-    return Superoperator(matrix=superop_parts(gen).at(t), dim=gen.dim)
+    """Reshaped d^2 x d^2 superoperator array of the generator frozen at time ``t``."""
+    return superop_parts(gen).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +384,23 @@ def _basis_array(d):
 # ---------------------------------------------------------------------------
 
 def gks_decompose(superop):
-    """Recover (H, Kossakowski matrix, basis) from a reshaped generator.
+    """Recover (H, Kossakowski matrix, basis) from a reshaped d^2 x d^2 generator.
 
-    The superoperator must preserve trace and Hermiticity to 1e-8.  In the
-    returned convention the generator reads
+    The superoperator must preserve trace and Hermiticity to SPECTRAL_TOL.  In
+    the returned convention the generator reads
 
         L(rho) = -i[H, rho] + sum_{k,l} C_{kl} (F_k rho F_l - 1/2 {F_l F_k, rho})
 
     over the Hermitian ``gell_mann_basis`` F, with C Hermitian.
     """
-    s = matcore.as_matrix(superop.matrix, "superoperator")
-    d = superop.dim
+    s = matcore.as_matrix(superop, "superoperator")
+    d = math.isqrt(s.shape[0])
     if s.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"superoperator shape {s.shape} does not match dim {d}")
+        raise DimensionMismatchError(f"superoperator shape {s.shape} is not (d^2, d^2)")
     snorm = max(1.0, float(np.linalg.norm(s)))
 
     trace_row = vec(np.eye(d)).conj() @ s
-    if float(np.linalg.norm(trace_row)) > 1e-8 * snorm:
+    if float(np.linalg.norm(trace_row)) > matcore.SPECTRAL_TOL * snorm:
         raise NotTracePreservingError("Tr functional is not a left null vector")
 
     # reshuffle S[(i,j),(k,l)] -> R[(i,k),(j,l)]; then R = U c U^+ with the
@@ -420,7 +409,7 @@ def gks_decompose(superop):
     basis = _basis_array(d)
     u = np.column_stack([vec(np.eye(d) / np.sqrt(d)), basis.reshape(-1, d * d).T])
     c = u.conj().T @ r @ u
-    if float(np.linalg.norm(c - c.conj().T)) > 1e-8 * snorm:
+    if float(np.linalg.norm(c - c.conj().T)) > matcore.SPECTRAL_TOL * snorm:
         raise NotHermiticityPreservingError("process matrix is not Hermitian")
     c = (c + c.conj().T) / 2.0
 
@@ -441,20 +430,20 @@ def _fix_phase(op):
 
 
 def _canonical_stack(c, basis):
-    """Canonical rates, noise operators and |rate| >= PRUNE_TOL mask of ``c`` (..., n, n)."""
+    """Canonical rates, noise operators and |rate| >= EXACT_TOL mask of ``c`` (..., n, n)."""
     c_dag = c.swapaxes(-1, -2).conj()
     scale = np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))
-    if np.any(np.linalg.norm(c - c_dag, axis=(-2, -1)) > 1e-10 * scale):
+    if np.any(np.linalg.norm(c - c_dag, axis=(-2, -1)) > matcore.INPUT_TOL * scale):
         raise NonHermitianKossakowskiError("Kossakowski matrix is not Hermitian")
     gammas, mixing = np.linalg.eigh((c + c_dag) / 2.0)
     ops = np.einsum("...kl,kab->...lab", mixing, basis)
-    return gammas, ops, np.abs(gammas) >= PRUNE_TOL
+    return gammas, ops, np.abs(gammas) >= matcore.EXACT_TOL
 
 
 def canonicalize(h, kossakowski, basis=None):
     """Diagonalize the Kossakowski matrix into canonical channels.
 
-    Channels with |gamma| < 1e-12 are dropped; each canonical operator has
+    Channels with |gamma| < EXACT_TOL are dropped; each canonical operator has
     its largest-magnitude entry made real positive so output is
     deterministic.
     """
@@ -470,7 +459,7 @@ def canonicalize(h, kossakowski, basis=None):
     return CanonicalForm(base=base, gamma_sum=float(sum(g for g, _ in channels)))
 
 
-def canonical_form(gen, tol=ORTHO_TOL):
+def canonical_form(gen, tol=matcore.INPUT_TOL):
     """CanonicalForm of ``gen``; fast path when channels already satisfy it.
 
     Time-dependent generators must already be canonical (their noise

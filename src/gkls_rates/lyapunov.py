@@ -26,7 +26,7 @@ from .errors import (
     UnconvergedError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import hs_inner, qr
+from .matcore import SPECTRAL_TOL, hs_inner, qr
 
 __all__ = [
     "LyapunovEstimate",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 CONVERGENCE_TOL = 1e-2
-_GENERIC_TOL = 1e-8
 _MAX_STEPS = 10_000_000
 
 
@@ -93,7 +92,7 @@ def _step_grid(gen, horizon, interval, name):
         raise ValueError(f"{name} interval must be finite and positive, got {interval}")
     steps = np.ceil(horizon / interval)  # inf when the ratio overflows
     if steps > _MAX_STEPS:
-        raise ValueError(f"{name} interval {interval} implies {steps:.0f} steps")
+        raise ValueError(f"{name} interval {interval} implies {steps:.3g} steps")
     steps = max(int(steps), 8)
     return steps, horizon / steps, max(1, int(round(0.2 * steps)))
 
@@ -165,7 +164,7 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
 
     spectrum = spectra.relaxation_spectrum(gen)
     gamma_max = float(spectrum.rates[-1])
-    tol_rate = 1e-8 * max(1.0, gamma_max)
+    tol_rate = SPECTRAL_TOL * max(1.0, gamma_max)
     dominant = [
         l for l in range(len(spectrum.rates)) if spectrum.rates[l] >= gamma_max - tol_rate
     ]
@@ -176,13 +175,12 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
         / max(1e-300, float(np.linalg.norm(spectrum.left_ops[l])) * rnorm)
         for l in dominant
     )
-    if best <= _GENERIC_TOL:
+    if best <= SPECTRAL_TOL:
         raise NonGenericInitialStateError(
             f"overlap with the dominant left mode is {best:.2e}"
         )
 
-    smat = genmod.reshape(gen).matrix
-    prop = scipy.linalg.expm(-delta * smat)
+    prop = scipy.linalg.expm(-delta * genmod.reshape(gen))
     d = gen.dim
 
     v = genmod.vec(rho0)
@@ -231,7 +229,7 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     n = gen.dim * gen.dim
     autonomous = not gen.time_dependent
     if autonomous:
-        prop = scipy.linalg.expm(-delta * genmod.reshape(gen).matrix)
+        prop = scipy.linalg.expm(-delta * genmod.reshape(gen))
     else:
         parts = genmod.superop_parts(gen)
         norms = np.linalg.norm(parts.at(np.linspace(0.0, horizon, 65)), axis=(1, 2))

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernel.
+"""Dense complex linear-algebra kernel and the package's tolerance policy.
 
 Everything operates on plain ``numpy.ndarray`` matrices of complex doubles;
 dimensions stay small (operators up to ~10, superoperators up to ~100), so
@@ -6,10 +6,14 @@ robustness is preferred over speed throughout.  Eigendecomposition routes
 Hermitian inputs to the symmetric solver and otherwise makes one paired
 LAPACK solve for eigenvalues with left and right vectors, taking
 left = inv(right)^dagger so that the pair is exactly biorthonormal whenever
-the input is not defective; the matrix exponential is scaling-and-squaring
-with Pade approximants, which behaves uniformly on defective inputs.
-``rk4`` is the one fixed-step integrator of the package; it reads v' = A(t) v
-from a stack of A at its stage times, each distinct time evaluated once.
+the input is not defective.  ``rk4`` is the one fixed-step integrator of the
+package; it reads v' = A(t) v from a stack of A at its stage times, each
+distinct time evaluated once.
+
+Every verdict of the package (Hermitian or not, canonical or not, bound
+satisfied or saturated, zero mode, rank, defect) compares against one of the
+levels in the table below.  Accuracy settings that steer a single algorithm,
+such as step-halving targets or bisection resolutions, stay in their module.
 """
 
 from dataclasses import dataclass
@@ -25,22 +29,28 @@ from .errors import (
 )
 
 __all__ = [
+    "EXACT_TOL",
+    "INPUT_TOL",
+    "SPECTRAL_TOL",
+    "RANK_TOL",
     "DEFECT_THRESHOLD",
     "EigResult",
     "as_matrix",
     "eig",
-    "expm",
     "hs_inner",
-    "matrix_norm",
     "qr",
 ]
 
-# eigenvector condition number above which a matrix is treated as defective;
-# doubles carry ~16 digits, so 1e8 marks the point where biorthogonality
-# cannot be trusted to 1e-8 any more
-DEFECT_THRESHOLD = 1e8
-
-_HERMITIAN_RTOL = 1e-12
+# identities exact on the data as given: Hermitian H, Kolmogorov signs and sums, rate signs
+EXACT_TOL = 1e-12
+# structure of user-supplied states, bases and Kossakowski matrices, often rounded
+INPUT_TOL = 1e-10
+# properties of computed spectra and superoperators, which carry a solver's rounding
+SPECTRAL_TOL = 1e-8
+# a QR triangular diagonal below this fraction of the input norm counts as zero
+RANK_TOL = 1e-14
+# eigenvector condition at which biorthogonality stops holding to SPECTRAL_TOL
+DEFECT_THRESHOLD = 1.0 / SPECTRAL_TOL
 
 
 def as_matrix(a, name="matrix"):
@@ -58,7 +68,8 @@ def _require_square(m, op):
         raise NonSquareError(f"{op} requires a square matrix, got shape {m.shape}")
 
 
-def is_hermitian(m, rtol=_HERMITIAN_RTOL):
+def is_hermitian(m, rtol):
+    """True when ||m - m^dagger||_F <= rtol * max(1, ||m||_F) for a 2-d ``m``."""
     scale = max(1.0, float(np.linalg.norm(m)))
     return float(np.linalg.norm(m - m.conj().T)) <= rtol * scale
 
@@ -88,7 +99,7 @@ class EigResult:
 def eig(m):
     """Full eigendecomposition with paired left/right vectors.
 
-    Hermitian inputs (relative asymmetry below 1e-12) take the symmetric
+    Hermitian inputs (relative asymmetry below EXACT_TOL) take the symmetric
     path and report a unit vector condition.  Otherwise one paired LAPACK
     solve gives eigenvalues with left and right vectors in the same column
     order; unless the input is defective, left = inv(right)^dagger, whose
@@ -99,7 +110,7 @@ def eig(m):
     m = as_matrix(m)
     _require_square(m, "eig")
 
-    if is_hermitian(m):
+    if is_hermitian(m, EXACT_TOL):
         w, v = np.linalg.eigh(m)
         return EigResult(
             values=w.astype(complex),
@@ -128,13 +139,6 @@ def eig(m):
     )
 
 
-def expm(m):
-    """Matrix exponential (scaling-and-squaring, Pade order up to 13)."""
-    m = as_matrix(m)
-    _require_square(m, "expm")
-    return scipy.linalg.expm(m)
-
-
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr(a^dagger b)."""
     a = np.asarray(a, dtype=complex)
@@ -142,24 +146,6 @@ def hs_inner(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return complex(np.vdot(a, b))
-
-
-def matrix_norm(a, kind):
-    """Induced/Frobenius matrix norms.
-
-    kind: "one" (max column abs sum), "inf" (max row abs sum),
-    "two" (largest singular value), "frobenius".
-    """
-    a = as_matrix(a)
-    if kind == "one":
-        return float(np.linalg.norm(a, 1))
-    if kind == "inf":
-        return float(np.linalg.norm(a, np.inf))
-    if kind == "two":
-        return float(np.linalg.norm(a, 2))
-    if kind == "frobenius":
-        return float(np.linalg.norm(a, "fro"))
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def rk4(stages, v, h):
@@ -186,7 +172,7 @@ def qr(m):
     _require_square(m, "qr")
     q, r = np.linalg.qr(m)
     diag = np.diagonal(r).copy()
-    tol = 1e-14 * float(np.linalg.norm(m))
+    tol = RANK_TOL * float(np.linalg.norm(m))
     small = np.abs(diag) <= tol
     if np.any(small):
         raise RankDeficientError(

@@ -28,7 +28,7 @@ from .errors import (
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import rk4
+from .matcore import INPUT_TOL, SPECTRAL_TOL, is_hermitian, rk4
 
 __all__ = [
     "Trajectory",
@@ -82,10 +82,9 @@ def _check_state(rho, d):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise DimensionMismatchError(f"state has shape {rho.shape}, expected {(d, d)}")
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    if float(np.linalg.norm(rho - rho.conj().T)) > 1e-10 * scale:
-        raise ValueError("initial state is not Hermitian to 1e-10")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
+    if not is_hermitian(rho, INPUT_TOL):
+        raise ValueError(f"initial state is not Hermitian to {INPUT_TOL}")
+    if abs(np.trace(rho) - 1.0) > SPECTRAL_TOL:
         raise ValueError("initial state does not have unit trace")
     return (rho + rho.conj().T) / 2.0
 
@@ -134,7 +133,7 @@ def evolve(gen, rho0, grid):
     v0 = genmod.vec(rho0)
 
     if not gen.time_dependent:
-        smat = genmod.reshape(gen).matrix
+        smat = genmod.reshape(gen)
         states = []
         for t in grid:
             if t == 0.0:
@@ -238,9 +237,15 @@ def spectral_track(traj):
 
 def _require_canonical(canonical):
     gen = canonical.base
-    if not genmod.is_canonical(gen, tol=1e-8):
+    if not genmod.is_canonical(gen, tol=SPECTRAL_TOL):
         raise NonCanonicalGeneratorError("channels must be traceless-orthonormal")
     return gen
+
+
+def _frame_weights(gen, frame):
+    """|F^+ L_n F|^2 entrywise for every channel n, stacked (n, d, d)."""
+    ops = np.array(gen.noise_ops(), dtype=complex).reshape(-1, gen.dim, gen.dim)
+    return np.abs(frame.conj().T @ ops @ frame) ** 2
 
 
 def teich_mahler(canonical, track, k):
@@ -252,12 +257,7 @@ def teich_mahler(canonical, track, k):
     """
     gen = canonical.base
     t = float(track.grid[k])
-    frame = track.frames[k]
-    d = gen.dim
-    r = np.zeros((d, d))
-    for ch in gen.channels:
-        m = frame.conj().T @ ch.op @ frame
-        r += ch.rate_at(t) * np.abs(m) ** 2
+    r = np.einsum("n,nij->ij", gen.rates_at(t), _frame_weights(gen, track.frames[k]))
     w = r - np.diag(r.sum(axis=0))
     return RateMatrix(w=w, r=r, t=t)
 
@@ -288,13 +288,8 @@ def w_quantity(canonical, track, k):
     unitary mixing matrix without repetition.
     """
     gen = _require_canonical(canonical)
-    t = float(track.grid[k])
-    frame = track.frames[k]
-    out = np.zeros((len(gen.channels), gen.dim))
-    for n, ch in enumerate(gen.channels):
-        m2 = np.abs(frame.conj().T @ ch.op @ frame) ** 2
-        out[n] = m2.sum(axis=0) + m2.sum(axis=1) - 2.0 * np.diagonal(m2)
-    return out
+    m2 = _frame_weights(gen, track.frames[k])
+    return m2.sum(axis=1) + m2.sum(axis=2) - 2.0 * np.diagonal(m2, axis1=1, axis2=2)
 
 
 def classical_propagator(canonical, track, j, k):

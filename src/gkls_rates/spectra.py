@@ -39,7 +39,6 @@ __all__ = [
     "log_norm",
 ]
 
-ZERO_MODE_TOL = 1e-8
 # seeds per stacked chunk of bound_sweep: 128 d=6 superoperators take 2.7 MB
 SWEEP_CHUNK = 128
 
@@ -91,9 +90,8 @@ def relaxation_spectrum(gen):
     """
     if gen.time_dependent:
         raise TimeDependentError("relaxation spectrum requires an autonomous generator")
-    superop = generator.reshape(gen)
     try:
-        res = matcore.eig(superop.matrix)
+        res = matcore.eig(generator.reshape(gen))
     except (IterationLimitError, np.linalg.LinAlgError) as exc:  # pragma: no cover
         raise EigFailureError(str(exc)) from exc
 
@@ -116,7 +114,8 @@ def _bound_terms(rates, d):
     """Gamma_max, (1/d) sum_{l>=1} Gamma_l, margin and tolerance of ascending rates."""
     gamma_max = rates[..., -1]
     total_over_d = np.sum(rates[..., 1:], axis=-1) / d
-    return gamma_max, total_over_d, total_over_d - gamma_max, 1e-8 * np.maximum(1.0, gamma_max)
+    tol = matcore.SPECTRAL_TOL * np.maximum(1.0, gamma_max)
+    return gamma_max, total_over_d, total_over_d - gamma_max, tol
 
 
 def check_bound(spectrum, d):
@@ -167,14 +166,14 @@ def qubit_rates(gamma_plus, gamma_minus, gamma_z):
 def stationary_state(spectrum):
     """Unique stationary state from the zero mode of the spectrum."""
     rates = spectrum.rates
-    tol = ZERO_MODE_TOL * max(1.0, float(rates[-1]))
+    tol = matcore.SPECTRAL_TOL * max(1.0, float(rates[-1]))
     count = int(np.sum(rates <= tol))
     zero_like = np.abs(spectrum.eigenvalues) <= tol
     if count > 1 or int(np.sum(zero_like)) > 1:
         raise DegenerateZeroModeError(max(count, int(np.sum(zero_like))))
     x0 = spectrum.right_ops[0]
     tr = np.trace(x0)
-    if abs(tr) < 1e-12:
+    if abs(tr) < matcore.EXACT_TOL:
         raise DegenerateZeroModeError(count)
     rho = x0 / tr
     return (rho + rho.conj().T) / 2.0
@@ -210,7 +209,7 @@ def bw_rate_identity(canonical, spectrum, rho_ss=None):
     for l in range(1, len(spectrum.rates)):
         y = spectrum.left_ops[l]
         denom = _ss_norm_sq(rho_ss, y)
-        if denom <= 1e-12 * float(np.linalg.norm(y)) ** 2:
+        if denom <= matcore.EXACT_TOL * float(np.linalg.norm(y)) ** 2:
             raise NonFaithfulStationaryStateError(
                 "||Y||_ss vanishes for a mode; stationary state is not faithful"
             )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generator as genmod
-from . import ratelang, spectra
+from . import matcore, ratelang, spectra
 from .errors import UnknownPresetError, ZeroRateError
 
 __all__ = [
@@ -118,7 +118,7 @@ def scan(gen, grid):
         intervals.append((start, end))
         i = j + 1
 
-    cp_divisible = bool(np.all(local_rates >= -genmod.CP_TOL))
+    cp_divisible = bool(np.all(local_rates >= -matcore.EXACT_TOL))
     return WitnessReport(
         grid=grid,
         local_rates=local_rates,
@@ -156,7 +156,7 @@ def qubit_tt_check(gamma_plus, gamma_minus, gamma_z, grid):
         if gamma_l <= 0.0 or gamma_t <= 0.0:
             raise ZeroRateError(f"relaxation times undefined at t={t}: "
                                 f"Gamma_L={gamma_l}, Gamma_T={gamma_t}")
-        flags[i] = bool(2.0 * gamma_t >= gamma_l - 1e-10)
+        flags[i] = bool(2.0 * gamma_t >= gamma_l - matcore.INPUT_TOL)
     return flags
 
 

@@ -14,6 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from gkls_rates.errors import IterationLimitError
 from gkls_rates.matcore import (
     DEFECT_THRESHOLD,
+    EXACT_TOL,
     EigResult,
     _require_square,
     as_matrix,
@@ -63,7 +64,7 @@ def eig(m):
     m = as_matrix(m)
     _require_square(m, "eig")
 
-    if is_hermitian(m):
+    if is_hermitian(m, EXACT_TOL):
         w, v = np.linalg.eigh(m)
         return EigResult(
             values=w.astype(complex),

@@ -8,8 +8,6 @@ differential tests compare the two.
 
 import numpy as np
 
-from gkls_rates import generator as g
-
 
 def hamiltonian_matrix(h):
     eye = np.eye(h.shape[0])
@@ -45,4 +43,4 @@ def rebuild_superop(h, kossakowski, basis):
                 np.kron(fk, fl.conj())
                 - 0.5 * (np.kron(flfk, eye) + np.kron(eye, flfk.T))
             )
-    return g.Superoperator(matrix=mat, dim=d)
+    return mat

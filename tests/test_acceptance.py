@@ -102,7 +102,7 @@ def test_criterion_04_trace_identity():
     for seed in range(100):
         d = 2 + seed % 4
         gen = g.random_cp(d, d * d - 1, seed=seed)
-        smat = g.reshape(gen).matrix
+        smat = g.reshape(gen)
         gamma_sum = float(np.sum(gen.rates_at()))
         worst_trace = max(worst_trace, abs(np.trace(smat) - (-d * gamma_sum)))
         spec = spectra.relaxation_spectrum(gen)

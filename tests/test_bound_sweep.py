@@ -46,7 +46,7 @@ def sweeps(draw):
 @given(sweeps())
 def test_bound_sweep_matches_per_seed_path(case):
     # n_channels < d^2 - 1 gives rank-deficient Kossakowski matrices, whose
-    # zero eigenvalues fall under PRUNE_TOL
+    # zero eigenvalues fall under matcore.EXACT_TOL
     assert_matches_oracle(*case)
 
 
@@ -61,6 +61,6 @@ def test_random_cp_batch_matches_reshape():
     superops, gamma_sum = g.random_cp_batch(3, 5, seeds)
     for k, seed in enumerate(seeds):
         gen = g.random_cp(3, 5, seed)
-        want = g.reshape(gen).matrix
+        want = g.reshape(gen)
         assert np.linalg.norm(superops[k] - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
         assert abs(gamma_sum[k] - np.sum(gen.rates_at())) <= 1e-14

@@ -29,6 +29,18 @@ def test_validate_rejects_negative_offdiagonal():
     with pytest.raises(NegativeOffDiagonalError) as info:
         classical.validate(np.array([[-1.0, -0.1], [1.0, 0.1]]))
     assert (info.value.i, info.value.j) == (0, 1)
+    # two negative entries: the first in column order is reported, not (0, 2)
+    k = np.array([[-0.3, 0.5, -0.1], [-0.2, -0.5, 0.3], [0.5, 0.0, -0.2]])
+    with pytest.raises(NegativeOffDiagonalError) as info:
+        classical.validate(k)
+    assert (info.value.i, info.value.j) == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite(bad):
+    # NaN compares False with every bound, so only an explicit check catches it
+    with pytest.raises(ValueError):
+        classical.validate(np.array([[bad, 0.0], [bad, 0.0]]))
 
 
 def test_validate_rejects_bad_column_sum():
@@ -63,6 +75,12 @@ def test_from_rates_single():
 def test_from_rates_rejects_negative():
     with pytest.raises(NegativeRateError):
         classical.from_rates([1.0, -0.5])
+
+
+@pytest.mark.parametrize("rates", [[], [np.inf, 1.0], [1.0, np.nan]])
+def test_from_rates_rejects_empty_and_non_finite(rates):
+    with pytest.raises(ValueError):
+        classical.from_rates(rates)
 
 
 def test_no_classical_bound(rng):

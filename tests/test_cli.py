@@ -261,9 +261,13 @@ def test_sweep_bad_dim(capsys):
         ["lyapunov", "dephasing", "--mode", "qr", "--horizon", "inf"],
         ["witness", "dephasing", "--t0", "nan"],
         ["witness", "eternal_nm", "--t1", "inf"],
+        ["classical", "--rates", ","],
+        ["classical", "--rates", "inf,1"],
+        ["lyapunov", "dephasing", "--horizon", "1e300"],
     ],
     ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
-         "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf"],
+         "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf", "rates-empty", "rates-inf",
+         "horizon-huge"],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
@@ -271,6 +275,7 @@ def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert len(err) < 200
 
 
 # ---------------------------------------------------------------------------

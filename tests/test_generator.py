@@ -49,7 +49,7 @@ def test_build_amplitude_damping():
 def test_build_zero_generator():
     gen = g.build(H0, [])
     assert gen.channels == ()
-    assert np.allclose(g.reshape(gen).matrix, 0.0)
+    assert np.allclose(g.reshape(gen), 0.0)
 
 
 def test_build_paper_qubit_channels_canonical():
@@ -140,12 +140,12 @@ def test_adjoint_amplitude_damping_on_sigma_z():
 # ---------------------------------------------------------------------------
 
 def test_reshape_zero_generator():
-    assert np.allclose(g.reshape(g.build(H0, [])).matrix, 0.0)
+    assert np.allclose(g.reshape(g.build(H0, [])), 0.0)
 
 
 def test_reshape_consistent_with_apply(rng, make_density):
     gen = g.random_cp(3, 6, seed=2)
-    s = g.reshape(gen).matrix
+    s = g.reshape(gen)
     for _ in range(5):
         rho = make_density(rng, 3)
         via_matrix = g.unvec(s @ g.vec(rho), 3)
@@ -155,19 +155,19 @@ def test_reshape_consistent_with_apply(rng, make_density):
 
 def test_reshape_trace_identity_canonical():
     gen = g.random_cp(4, 10, seed=3)
-    s = g.reshape(gen).matrix
+    s = g.reshape(gen)
     assert np.trace(s) == pytest.approx(-4 * np.sum(gen.rates_at()), abs=1e-10)
     assert abs(np.trace(s).imag) <= 1e-10
 
 
 def test_reshape_dephasing_trace():
-    s = g.reshape(dephasing()).matrix
+    s = g.reshape(dephasing())
     assert np.trace(s) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_reshape_trace_functional_left_null(rng):
     gen = g.random_cp(3, 5, seed=13)
-    s = g.reshape(gen).matrix
+    s = g.reshape(gen)
     row = g.vec(np.eye(3)).conj() @ s
     assert np.linalg.norm(row) <= 1e-10 * np.linalg.norm(s)
 
@@ -214,7 +214,7 @@ def test_assembly_matches_kron_oracle(d, kind, seed, t):
     for s, stacked in zip(times, parts.at(np.array(times))):
         expected = kron_oracle.reshape(gen, s)
         tol = 1e-13 * max(1.0, float(np.linalg.norm(expected)))
-        assert np.linalg.norm(g.reshape(gen, s).matrix - expected) <= tol
+        assert np.linalg.norm(g.reshape(gen, s) - expected) <= tol
         assert np.linalg.norm(parts.at(s) - expected) <= tol
         assert np.linalg.norm(stacked - expected) <= tol
 
@@ -239,7 +239,7 @@ def test_decompose_round_trip():
     s = g.reshape(gen)
     h, c, basis = g.gks_decompose(s)
     rebuilt = kron_oracle.rebuild_superop(h, c, basis)
-    err = np.linalg.norm(rebuilt.matrix - s.matrix) / np.linalg.norm(s.matrix)
+    err = np.linalg.norm(rebuilt - s) / np.linalg.norm(s)
     assert err <= 1e-8
     assert np.linalg.norm(c - c.conj().T) <= 1e-10
 
@@ -253,7 +253,7 @@ def test_decompose_canonical_input_diagonal_in_own_basis():
 
 
 def test_decompose_zero_superoperator():
-    h, c, _ = g.gks_decompose(g.Superoperator(np.zeros((4, 4), dtype=complex), 2))
+    h, c, _ = g.gks_decompose(np.zeros((4, 4), dtype=complex))
     assert np.allclose(h, 0.0)
     assert np.allclose(c, 0.0)
 
@@ -268,9 +268,15 @@ def test_decompose_eternal_nm_negative_rate():
     assert np.allclose(eigs[1:], [1.0, 1.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_decompose_rejects_shape_that_is_not_d_squared(n):
+    with pytest.raises(DimensionMismatchError):
+        g.gks_decompose(np.zeros((n, n), dtype=complex))
+
+
 def test_decompose_rejects_non_trace_preserving():
     with pytest.raises(NotTracePreservingError):
-        g.gks_decompose(g.Superoperator(np.eye(4, dtype=complex), 2))
+        g.gks_decompose(np.eye(4, dtype=complex))
 
 
 def test_decompose_rejects_non_hermiticity_preserving():
@@ -278,7 +284,7 @@ def test_decompose_rejects_non_hermiticity_preserving():
     bad[1, 1] = 1.0j  # scales the off-diagonal of rho by i, breaking Hermiticity
     bad[2, 2] = 1.0j
     with pytest.raises((NotHermiticityPreservingError, NotTracePreservingError)):
-        g.gks_decompose(g.Superoperator(bad, 2))
+        g.gks_decompose(bad)
 
 
 def test_canonicalize_identity_kossakowski():
@@ -319,8 +325,8 @@ def test_canonicalize_already_canonical_round_trip():
     h, c, basis = g.gks_decompose(g.reshape(gen))
     can = g.canonicalize(h, c, basis)
     assert np.allclose(np.sort(can.base.rates_at()), np.sort(gen.rates_at()), atol=1e-10)
-    s1 = g.reshape(gen).matrix
-    s2 = g.reshape(can.base).matrix
+    s1 = g.reshape(gen)
+    s2 = g.reshape(can.base)
     assert np.linalg.norm(s1 - s2) <= 1e-8 * np.linalg.norm(s1)
 
 
@@ -367,7 +373,7 @@ def extended_superop_oracle(gen, d_ext):
 def test_extend_matches_block_oracle():
     gen = g.random_cp(2, 3, seed=31)
     ext = g.extend(gen, 1)
-    direct = g.reshape(ext).matrix
+    direct = g.reshape(ext)
     oracle = extended_superop_oracle(gen, 1)
     assert np.linalg.norm(direct - oracle) <= 1e-12 * max(1.0, np.linalg.norm(direct))
 
@@ -390,8 +396,8 @@ def test_extend_rate_sum_identity():
 
 def test_extend_keeps_original_spectrum():
     gen = g.random_cp(3, 4, seed=55)
-    base = np.linalg.eigvals(g.reshape(gen).matrix)
-    ext = np.linalg.eigvals(g.reshape(g.extend(gen, 2)).matrix)
+    base = np.linalg.eigvals(g.reshape(gen))
+    ext = np.linalg.eigvals(g.reshape(g.extend(gen, 2)))
     for lam in base:
         assert np.min(np.abs(ext - lam)) <= 1e-8
 

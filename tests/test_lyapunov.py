@@ -98,7 +98,7 @@ def test_backward_matches_gamma_max_random():
 def test_backward_q_vector_zero_sum():
     # deep in backward time the normalized populations lose their trace part
     gen = witness.preset("amplitude_damping")
-    s = g.reshape(gen).matrix
+    s = g.reshape(gen)
     v = g.vec(COHERENT)
     far = scipy.linalg.expm(40.0 * (-s)) @ v
     pops = np.linalg.eigvalsh(g.unvec(far, 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +84,7 @@ def test_eig_rejects_nonfinite():
 
 
 def test_eig_residual_and_biorthogonality(rng):
-    gkls = generator.reshape(generator.random_cp(3, 5, seed=21)).matrix
+    gkls = generator.reshape(generator.random_cp(3, 5, seed=21))
     for m in [random_matrix(rng, n) for n in (3, 5, 8)] + [gkls]:
         n = m.shape[0]
         res = matcore.eig(m)
@@ -142,13 +143,13 @@ def eig_case(kind, seed):
     if kind == "random_cp":
         d = int(rng.integers(2, 5))
         gen = generator.random_cp(d, int(rng.integers(1, d * d)), seed)
-        return generator.reshape(gen).matrix
+        return generator.reshape(gen)
     if kind == "frozen_qubit":
         rates = rng.permutation(TD_QUBIT_RATES)[:3]
         gen = witness.qubit_generator(*rates, omega=float(rng.uniform(-2.0, 2.0)))
-        return generator.reshape(generator.freeze(gen, float(rng.uniform(0.0, 5.0)))).matrix
+        return generator.reshape(generator.freeze(gen, float(rng.uniform(0.0, 5.0))))
     if kind in ("dephasing", "paper_qubit"):
-        return generator.reshape(witness.preset(kind)).matrix
+        return generator.reshape(witness.preset(kind))
     if kind == "mixed_degenerate":
         return similarity_mixed_degenerate(rng)
     if kind == "jordan":  # one Jordan block beside a diagonal, permuted exactly
@@ -199,52 +200,24 @@ def test_eig_matches_two_solve_oracle(kind, seed):
 
 
 # ---------------------------------------------------------------------------
-# expm
+# matrix exponential of a reshaped generator
 # ---------------------------------------------------------------------------
-
-def test_expm_zero_is_identity():
-    assert np.allclose(matcore.expm(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_diagonal():
-    out = matcore.expm(np.diag([np.log(2.0), 0.0]))
-    assert np.allclose(out, np.diag([2.0, 1.0]), atol=1e-14)
-
-
-def test_expm_defective_jordan_block():
-    out = matcore.expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(out, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-14)
-
-
-def test_expm_commuting_factorization(rng):
-    m = random_matrix(rng, 4, 0.6)
-    a = 0.3 * m + 0.1 * m @ m
-    b = -0.2 * m + 0.05 * m @ m
-    lhs = matcore.expm(a + b)
-    rhs = matcore.expm(a) @ matcore.expm(b)
-    assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
-
 
 def test_expm_against_ode_integration(rng):
     # exp(tS) v0 must agree with a high-order ODE solve of vdot = S v
     from gkls_rates import generator as g
 
     gen = g.random_cp(2, 3, seed=11)
-    s = g.reshape(gen).matrix
+    s = g.reshape(gen)
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     v0 = rho0.reshape(-1)
     sol = scipy.integrate.solve_ivp(
         lambda t, v: s @ v, (0.0, 0.7), v0, rtol=1e-12, atol=1e-14, method="DOP853"
     )
-    direct = matcore.expm(0.7 * s) @ v0
+    direct = scipy.linalg.expm(0.7 * s) @ v0
     assert np.linalg.norm(direct - sol.y[:, -1]) <= 1e-9
     evolved = direct.reshape(2, 2)
     assert abs(np.trace(evolved) - 1.0) <= 1e-10
-
-
-def test_expm_nonsquare_raises():
-    with pytest.raises((NonSquareError, ShapeMismatchError)):
-        matcore.expm(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +239,6 @@ def test_hs_inner_is_trace_of_adjoint_product(rng):
     a = random_matrix(rng, 3)
     b = random_matrix(rng, 3)
     assert matcore.hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
-
-
-# ---------------------------------------------------------------------------
-# matrix_norm
-# ---------------------------------------------------------------------------
-
-def test_matrix_norm_examples():
-    a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-    assert matcore.matrix_norm(a, "inf") == pytest.approx(3.0)
-    assert matcore.matrix_norm(a, "one") == pytest.approx(5.0)
-    assert matcore.matrix_norm(np.diag([3.0, -4.0]), "two") == pytest.approx(4.0)
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_spectral_radius_below_every_norm(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    m = random_matrix(rng, n)
-    radius = np.max(np.abs(np.linalg.eigvals(m)))
-    for kind in ("one", "two", "inf", "frobenius"):
-        assert radius <= matcore.matrix_norm(m, kind) * (1 + 1e-12)
-
-
-def test_matrix_norm_unknown_kind():
-    with pytest.raises(ValueError):
-        matcore.matrix_norm(np.eye(2), "nuclear")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkls_rates import generator as g
 from gkls_rates import pauli, spectra, witness
@@ -11,6 +13,8 @@ from gkls_rates.errors import (
     StepSizeUnderflowError,
     TrackingLostError,
 )
+
+import pauli_oracle
 
 H0 = np.zeros((2, 2))
 PLUS = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
@@ -297,6 +301,42 @@ def test_w_quantity_bounded_by_one(rng):
         wq = pauli.w_quantity(can, track, 0)
         assert np.max(wq) <= 1 + 1e-10
         assert np.min(wq) >= 0.0
+
+
+def _frame_case(kind, seed, t):
+    """Canonical form and a one-point track with a random unitary frame at time t."""
+    rng = np.random.default_rng(seed)
+    if kind == "random_cp":
+        d = int(rng.integers(2, 5))
+        gen = g.random_cp(d, int(rng.integers(1, d * d)), seed)
+    elif kind == "hamiltonian_only":
+        d = int(rng.integers(2, 5))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gen = g.build((a + a.conj().T) / 2, [])
+    else:  # time-dependent qubit, one rate negative at t > 0
+        d = 2
+        gen = witness.qubit_generator("1 + 0.5*sin(3*t)", "exp(-t)", "-tanh(t)", omega=0.7)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    track = pauli.EigenTrack(grid=np.array([t]), populations=np.full((1, d), 1 / d), frames=(q,))
+    return canonical(gen), track
+
+
+@given(
+    kind=st.sampled_from(["random_cp", "hamiltonian_only", "td_qubit"]),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.1, 5.0),
+)
+def test_stacked_rates_match_channel_loop(kind, seed, t):
+    can, track = _frame_case(kind, seed, t)
+    tol = 1e-14 * max(1.0, float(np.sum(np.abs(can.base.rates_at(t)))))
+    rm = pauli.teich_mahler(can, track, 0)
+    r = pauli_oracle.teich_mahler_r(can, track, 0)
+    assert np.max(np.abs(rm.r - r), initial=0.0) <= tol
+    assert np.max(np.abs(rm.w - (r - np.diag(r.sum(axis=0)))), initial=0.0) <= tol
+    wq = pauli.w_quantity(can, track, 0)
+    want = pauli_oracle.w_quantity(can, track, 0)
+    assert wq.shape == want.shape
+    assert np.max(np.abs(wq - want), initial=0.0) <= 1e-14
 
 
 def test_w_quantity_rejects_non_canonical():
