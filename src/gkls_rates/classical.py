@@ -34,13 +34,6 @@ class KolmogorovGenerator:
     dim: int
     k: np.ndarray
 
-    @property
-    def rates_matrix(self):
-        """Nonnegative transition rates R_ij = K_ij for i != j (diagonal zero)."""
-        r = self.k.copy()
-        np.fill_diagonal(r, 0.0)
-        return r
-
 
 def validate(k):
     """Check the sign and column-sum conditions and wrap the matrix.
@@ -93,8 +86,7 @@ def lindblad_to_kolmogorov(canonical, basis):
     Equals R_ij - delta_ij sum_k R_kj with R_ij = sum_n gamma_n |<i|L_n|j>|^2,
     and validates as a Kolmogorov generator for completely positive input.
     """
-    gen = canonical.base
-    d = gen.dim
+    d = canonical.dim
     b = np.asarray(basis, dtype=complex)
     if b.shape != (d, d):
         raise NonOrthonormalBasisError(f"expected {d} basis vectors of length {d}")
@@ -106,7 +98,7 @@ def lindblad_to_kolmogorov(canonical, basis):
     for j in range(d):
         ket = b[:, j]
         proj = np.outer(ket, ket.conj())
-        image = genmod.apply(gen, proj)
+        image = genmod.apply(canonical, proj)
         for i in range(d):
             k[i, j] = float((b[:, i].conj() @ image @ b[:, i]).real)
     return validate(k)

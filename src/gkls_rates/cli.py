@@ -94,13 +94,17 @@ def load_generator_document(doc):
         raise ValidationError(str(exc)) from exc
 
 
-def load_generator_file(path):
+def _read_json(path):
+    """The parsed JSON document of ``path``; a syntax error names path:line:col."""
     with open(path, "r") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    return load_generator_document(doc)
+
+
+def load_generator_file(path):
+    return load_generator_document(_read_json(path))
 
 
 def _resolve_generator(target, force_file=False):
@@ -127,7 +131,7 @@ def cmd_analyze(args):
     canonical = genmod.canonical_form(gen)
     spec = spectra.relaxation_spectrum(gen)
     report = spectra.check_bound(spec, gen.dim)
-    gammas = canonical.base.rates_at(0.0)
+    gammas = canonical.rates_at(0.0)
     print(f"label: {label or '-'}  dim: {gen.dim}")
     print("canonical rates:", " ".join(fmt17(g) for g in gammas))
     print("relaxation rates:", " ".join(fmt17(r) for r in spec.rates))
@@ -224,11 +228,7 @@ def cmd_sweep(args):
 
 
 def _load_kolmogorov_file(path):
-    with open(path, "r") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "k" not in doc:
         raise SchemaError("$", "expected an object with a real matrix under 'k'")
     k = doc["k"]
@@ -243,7 +243,7 @@ def _load_kolmogorov_file(path):
 def cmd_classical(args):
     if args.rates is not None:
         try:
-            rates = [float(x) for x in args.rates.split(",") if x.strip() != ""]
+            rates = [float(x) for x in args.rates.split(",")]  # an empty field raises
         except ValueError as exc:
             raise ValidationError(f"bad rate list {args.rates!r}") from exc
         kolmo = clmod.from_rates(rates)

@@ -1,14 +1,16 @@
 """GKLS generators: construction, canonical form, reshaping, extension.
 
-A generator is stored as an effective Hamiltonian H plus channels
-(gamma_l, L_l) acting on a d-dimensional Hilbert space:
+A generator is one record: an effective Hamiltonian H, an (n, d, d) stack of
+noise operators L_l and a tuple of n rates gamma_l acting on a d-dimensional
+Hilbert space:
 
     L(rho) = -i[H, rho] + sum_l gamma_l (L_l rho L_l^+ - 1/2 {L_l^+ L_l, rho})
 
 Rates may be plain reals or parsed time expressions gamma_l(t); noise
 operators are time independent.  The canonical form has traceless noise
 operators orthonormal under the Hilbert-Schmidt inner product, which makes
-the rates unique up to degeneracies of the Kossakowski matrix.
+the rates unique up to degeneracies of the Kossakowski matrix; it is a
+record of the same type, and (1/d) sum_l Gamma_l = sum_k gamma_k on it.
 
 Vectorization is row-major throughout: vec(rho) = rho.reshape(d*d), so the
 Kronecker product A (x) B^T acts as rho -> A rho B.  One assembly builds the
@@ -51,9 +53,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Channel",
     "GklsGenerator",
-    "CanonicalForm",
     "SuperopParts",
     "SIGMA_X",
     "SIGMA_Y",
@@ -96,48 +96,22 @@ def unvec(v, d):
 
 
 @dataclass(frozen=True)
-class Channel:
-    """One dissipative channel: a rate (real or time expression) and its op."""
-
-    rate: object  # float | ratelang.RateExpr
-    op: np.ndarray
-
-    @property
-    def time_dependent(self):
-        return isinstance(self.rate, ratelang.RateExpr)
-
-    def rate_at(self, t):
-        if self.time_dependent:
-            return ratelang.evaluate(self.rate, t)
-        return float(self.rate)
-
-
-@dataclass(frozen=True)
 class GklsGenerator:
+    """H plus noise operators ``ops`` (n, d, d) and one rate per operator, each a
+    float or a ``ratelang.RateExpr``; ``time_dependent`` when any rate is an expression."""
+
     dim: int
     hamiltonian: np.ndarray
-    channels: tuple
+    ops: np.ndarray
+    rates: tuple
     time_dependent: bool
 
     def rates_at(self, t=0.0):
-        return np.array([ch.rate_at(t) for ch in self.channels], dtype=float)
-
-    def noise_ops(self):
-        return [ch.op for ch in self.channels]
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Generator whose channels are traceless and HS-orthonormal."""
-
-    base: GklsGenerator
-    gamma_sum: float  # sum of canonical rates; evaluated at t=0 if time dependent
-
-    @property
-    def completely_positive(self):
-        if self.base.time_dependent:
-            raise TimeDependentError("CP flag is time dependent; inspect rates_at(t)")
-        return bool(np.all(self.base.rates_at() >= -matcore.EXACT_TOL))
+        """The rates at time ``t`` as a float array, one per row of ``ops``."""
+        values = [
+            ratelang.evaluate(r, t) if isinstance(r, ratelang.RateExpr) else r for r in self.rates
+        ]
+        return np.array(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -157,37 +131,43 @@ def _coerce_rate(rate):
     raise TypeError(f"channel rate must be a real number or expression, got {rate!r}")
 
 
+def _hermitian_part(hamiltonian):
+    """The Hamiltonian, checked square and Hermitian to EXACT_TOL (relative), symmetrized."""
+    h = matcore.as_matrix(hamiltonian, "hamiltonian")
+    if h.shape[0] != h.shape[1]:
+        raise DimensionMismatchError(f"hamiltonian must be square, got {h.shape}")
+    if not matcore.is_hermitian(h, matcore.EXACT_TOL):
+        raise NonHermitianHamiltonianError(f"hamiltonian is not Hermitian to {matcore.EXACT_TOL}")
+    return (h + h.conj().T) / 2.0
+
+
 def build(hamiltonian, channels):
-    """Validate and assemble a generator.
+    """Validate and assemble a generator from H and (rate, operator) pairs.
 
     The Hamiltonian must be Hermitian to EXACT_TOL (relative) and is symmetrized
     on storage.  Channels that are not traceless-orthonormal only draw a
     warning; ``canonicalize`` repairs such representations.
     """
-    h = matcore.as_matrix(hamiltonian, "hamiltonian")
+    h = _hermitian_part(hamiltonian)
     d = h.shape[0]
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"hamiltonian must be square, got {h.shape}")
-    if not matcore.is_hermitian(h, matcore.EXACT_TOL):
-        raise NonHermitianHamiltonianError(f"hamiltonian is not Hermitian to {matcore.EXACT_TOL}")
-    h = (h + h.conj().T) / 2.0
-
-    built = []
+    ops, rates = [], []
     for k, (rate, op) in enumerate(channels):
         op = matcore.as_matrix(op, f"channel {k} operator")
         if op.shape != (d, d):
             raise DimensionMismatchError(
                 f"channel {k} operator has shape {op.shape}, expected {(d, d)}"
             )
-        built.append(Channel(_coerce_rate(rate), op))
+        ops.append(op)
+        rates.append(_coerce_rate(rate))
 
     gen = GklsGenerator(
         dim=d,
         hamiltonian=h,
-        channels=tuple(built),
-        time_dependent=any(ch.time_dependent for ch in built),
+        ops=np.array(ops, dtype=complex).reshape(-1, d, d),
+        rates=tuple(rates),
+        time_dependent=any(isinstance(r, ratelang.RateExpr) for r in rates),
     )
-    if built and not is_canonical(gen, tol=matcore.SPECTRAL_TOL):
+    if not is_canonical(gen, tol=matcore.SPECTRAL_TOL):
         warnings.warn(
             "channels are not traceless-orthonormal; canonicalize() repairs this",
             stacklevel=2,
@@ -197,57 +177,50 @@ def build(hamiltonian, channels):
 
 def is_canonical(gen, tol=matcore.INPUT_TOL):
     """True when all noise operators are traceless and HS-orthonormal."""
-    ops = gen.noise_ops()
-    if not ops:
-        return True
-    for op in ops:
-        if abs(np.trace(op)) > tol:
-            return False
-    flat = np.stack([op.reshape(-1) for op in ops])
+    n = len(gen.ops)
+    flat = gen.ops.reshape(n, gen.dim * gen.dim)
     gram = flat.conj() @ flat.T
-    return bool(np.max(np.abs(gram - np.eye(len(ops)))) <= tol)
+    traces = np.trace(gen.ops, axis1=1, axis2=2)
+    traceless = not np.any(np.abs(traces) > tol)
+    return traceless and bool(np.all(np.abs(gram - np.eye(n)) <= tol))
 
 
 def freeze(gen, t):
     """Autonomous snapshot with all rates evaluated at time ``t``."""
     if not gen.time_dependent:
         return gen
-    channels = tuple(Channel(ch.rate_at(t), ch.op) for ch in gen.channels)
-    return GklsGenerator(gen.dim, gen.hamiltonian, channels, False)
+    return GklsGenerator(gen.dim, gen.hamiltonian, gen.ops, tuple(gen.rates_at(t).tolist()), False)
 
 
 # ---------------------------------------------------------------------------
 # action on operators
 # ---------------------------------------------------------------------------
 
+def _check_operand(gen, x, name, what):
+    x = matcore.as_matrix(x, name)
+    if x.shape != (gen.dim, gen.dim):
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {(gen.dim,) * 2}")
+    return x
+
+
 def apply(gen, rho, t=0.0):
     """Schroedinger-picture action L(rho) at time ``t``."""
-    rho = matcore.as_matrix(rho, "rho")
-    if rho.shape != (gen.dim, gen.dim):
-        raise DimensionMismatchError(f"state has shape {rho.shape}, expected {(gen.dim,) * 2}")
-    h = gen.hamiltonian
-    out = -1.0j * (h @ rho - rho @ h)
-    for ch in gen.channels:
-        g = ch.rate_at(t)
-        l = ch.op
-        ldl = l.conj().T @ l
-        out += g * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
+    rho = _check_operand(gen, rho, "rho", "state")
+    h, l = gen.hamiltonian, gen.ops
+    l_dag = l.conj().swapaxes(1, 2)
+    ldl = l_dag @ l
+    terms = l @ rho @ l_dag - 0.5 * (ldl @ rho + rho @ ldl)
+    return -1.0j * (h @ rho - rho @ h) + np.einsum("n,nab->ab", gen.rates_at(t), terms)
 
 
 def adjoint_apply(gen, x, t=0.0):
     """Heisenberg-picture action L^++(X); satisfies Tr(X L(rho)) = Tr(L^++(X) rho)."""
-    x = matcore.as_matrix(x, "x")
-    if x.shape != (gen.dim, gen.dim):
-        raise DimensionMismatchError(f"operator has shape {x.shape}, expected {(gen.dim,) * 2}")
-    h = gen.hamiltonian
-    out = 1.0j * (h @ x - x @ h)
-    for ch in gen.channels:
-        g = ch.rate_at(t)
-        l = ch.op
-        ldl = l.conj().T @ l
-        out += g * (l.conj().T @ x @ l - 0.5 * (ldl @ x + x @ ldl))
-    return out
+    x = _check_operand(gen, x, "x", "operator")
+    h, l = gen.hamiltonian, gen.ops
+    l_dag = l.conj().swapaxes(1, 2)
+    ldl = l_dag @ l
+    terms = l_dag @ x @ l - 0.5 * (ldl @ x + x @ ldl)
+    return 1.0j * (h @ x - x @ h) + np.einsum("n,nab->ab", gen.rates_at(t), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +298,12 @@ def _assemble(h, weights, ops):
 
 def superop_parts(gen):
     """The reshaped generator of ``gen`` from the one assembly (see the module notes)."""
-    d = gen.dim
-    fixed = [ch for ch in gen.channels if not ch.time_dependent]
-    varying = [ch for ch in gen.channels if ch.time_dependent]
-    fixed_ops, varying_ops = (
-        np.array([ch.op for ch in chs], dtype=complex).reshape(1, -1, d, d)
-        for chs in (fixed, varying)
-    )
-    fixed_rates = np.array([[ch.rate for ch in fixed]], dtype=float)
-    static = _assemble(gen.hamiltonian, fixed_rates, fixed_ops)[0]
-    stack = _dissipator_sums(np.eye(len(varying)), varying_ops, d)
-    return SuperopParts(static=static, stack=stack, rates=tuple(ch.rate for ch in varying))
+    varying = [isinstance(r, ratelang.RateExpr) for r in gen.rates]
+    fixed_rates = np.array([[r for r, v in zip(gen.rates, varying) if not v]], dtype=float)
+    static = _assemble(gen.hamiltonian, fixed_rates, gen.ops[None, np.logical_not(varying)])
+    rates = tuple(r for r, v in zip(gen.rates, varying) if v)
+    stack = _dissipator_sums(np.eye(len(rates)), gen.ops[None, varying], gen.dim)
+    return SuperopParts(static=static[0], stack=stack, rates=rates)
 
 
 def reshape(gen, t=0.0):
@@ -441,33 +409,32 @@ def _canonical_stack(c, basis):
 
 
 def canonicalize(h, kossakowski, basis=None):
-    """Diagonalize the Kossakowski matrix into canonical channels.
+    """Diagonalize the Kossakowski matrix into the canonical generator.
 
     Channels with |gamma| < EXACT_TOL are dropped; each canonical operator has
     its largest-magnitude entry made real positive so output is
     deterministic.
     """
-    h = matcore.as_matrix(h, "hamiltonian")
+    h = _hermitian_part(h)
     d = h.shape[0]
     basis = _basis_array(d) if basis is None else np.asarray(basis, dtype=complex)
+    if basis.shape[1:] != (d, d):
+        raise DimensionMismatchError(f"basis has shape {basis.shape}, expected (n, {d}, {d})")
     c = matcore.as_matrix(kossakowski, "kossakowski")
     gammas, ops, kept = _canonical_stack(c, basis)
-    channels = [(float(gammas[l]), _fix_phase(ops[l])) for l in np.flatnonzero(kept)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # canonical by construction
-        base = build(h, channels)
-    return CanonicalForm(base=base, gamma_sum=float(sum(g for g, _ in channels)))
+    ops = np.array([_fix_phase(op) for op in ops[kept]], dtype=complex).reshape(-1, d, d)
+    return GklsGenerator(d, h, ops, tuple(gammas[kept].tolist()), False)
 
 
 def canonical_form(gen, tol=matcore.INPUT_TOL):
-    """CanonicalForm of ``gen``; fast path when channels already satisfy it.
+    """The canonical generator of ``gen``: ``gen`` itself when its channels already are.
 
     Time-dependent generators must already be canonical (their noise
     operators are fixed, only rates vary); autonomous others go through
     ``gks_decompose``.
     """
     if is_canonical(gen, tol=tol):
-        return CanonicalForm(base=gen, gamma_sum=float(np.sum(gen.rates_at(0.0))))
+        return gen
     if gen.time_dependent:
         raise TimeDependentError(
             "time-dependent generator with non-canonical channels; "
@@ -477,18 +444,17 @@ def canonical_form(gen, tol=matcore.INPUT_TOL):
     return canonicalize(h, c, basis)
 
 
-def canonical_rates_at(gen, t=0.0):
-    """Canonical rates of the generator frozen at time ``t``.
+def canonical_rates(gen, times):
+    """Canonical rates of the generator frozen at each of ``times``, one row per time.
 
     Canonical channels report their evaluated rates directly; otherwise the
-    rates are the Kossakowski eigenvalues of the frozen snapshot, which
-    keeps the vector length d^2 - 1 at every time (nothing is pruned).
+    rates are the Kossakowski eigenvalues of each frozen snapshot, which
+    keeps the row length d^2 - 1 at every time (nothing is pruned).
     """
     if is_canonical(gen):
-        return gen.rates_at(t)
-    frozen = freeze(gen, t)
-    _, c, _ = gks_decompose(reshape(frozen))
-    return np.linalg.eigvalsh(c)
+        return np.array([gen.rates_at(t) for t in times])
+    kossakowski = (gks_decompose(reshape(freeze(gen, t)))[1] for t in times)
+    return np.array([np.linalg.eigvalsh(c) for c in kossakowski])
 
 
 # ---------------------------------------------------------------------------
@@ -508,24 +474,20 @@ def extend(gen, d_ext):
         raise TimeDependentError("extension supports autonomous generators only")
     if d_ext < 1:
         raise ValueError("d_ext must be at least 1")
-    d = gen.dim
-    dd = d + d_ext
+    d, dd = gen.dim, gen.dim + d_ext
 
     def pad(m):
-        out = np.zeros((dd, dd), dtype=complex)
-        out[:d, :d] = m
+        out = np.zeros(m.shape[:-2] + (dd, dd), dtype=complex)
+        out[..., :d, :d] = m
         return out
 
-    channels = [(ch.rate_at(0.0), pad(ch.op)) for ch in gen.channels]
-    return build(pad(gen.hamiltonian), channels)
+    return GklsGenerator(dd, pad(gen.hamiltonian), pad(gen.ops), gen.rates, False)
 
 
 def damping_operator(gen, t=0.0):
     """K = -iH - 1/2 sum gamma_l L_l^+ L_l (the no-jump drift)."""
-    k = -1.0j * gen.hamiltonian.astype(complex)
-    for ch in gen.channels:
-        k = k - 0.5 * ch.rate_at(t) * (ch.op.conj().T @ ch.op)
-    return k
+    ldl = np.einsum("n,nba,nbc->ac", gen.rates_at(t), gen.ops.conj(), gen.ops)
+    return -1.0j * gen.hamiltonian - 0.5 * ldl
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +514,7 @@ def random_cp(d, n_channels, seed):
     normalized complex Wishart matrix of rank ``n_channels``, so all
     canonical rates are nonnegative and sum to one.
     """
-    return canonicalize(*_draw_cp(d, n_channels, seed)).base
+    return canonicalize(*_draw_cp(d, n_channels, seed))
 
 
 def random_cp_batch(d, n_channels, seeds):

@@ -75,7 +75,7 @@ class DivisibilityReport:
 
 
 def _default_interval(gen, horizon):
-    scale = float(np.sum(np.abs(gen.rates_at(0.0)))) if gen.channels else 0.0
+    scale = float(np.sum(np.abs(gen.rates_at(0.0))))
     if scale <= 0.0:
         return horizon / 256.0
     return min(0.5 / scale, horizon / 8.0)
@@ -301,14 +301,8 @@ def divisibility_bounds(gen, horizon, rate_samples=2001):
     rhs_cp = float(np.sum(exponents[1:]) / gen.dim)
 
     ts = np.linspace(0.0, horizon, rate_samples)
-    if gen.time_dependent:
-        corr = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            g = genmod.canonical_rates_at(gen, t)
-            corr[i] = float(np.sum(np.abs(g) - g) / gen.dim)
-    else:
-        g = genmod.canonical_rates_at(gen)
-        corr = np.full(len(ts), float(np.sum(np.abs(g) - g) / gen.dim))
+    g = genmod.canonical_rates(gen, ts if gen.time_dependent else ts[:1])
+    corr = np.broadcast_to(np.sum(np.abs(g) - g, axis=1) / gen.dim, ts.shape)
     correction_sup = float(np.max(corr))
     correction_mean = float(np.trapezoid(corr, ts) / horizon)
 

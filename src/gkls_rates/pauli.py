@@ -236,16 +236,14 @@ def spectral_track(traj):
 # ---------------------------------------------------------------------------
 
 def _require_canonical(canonical):
-    gen = canonical.base
-    if not genmod.is_canonical(gen, tol=SPECTRAL_TOL):
+    if not genmod.is_canonical(canonical, tol=SPECTRAL_TOL):
         raise NonCanonicalGeneratorError("channels must be traceless-orthonormal")
-    return gen
+    return canonical
 
 
 def _frame_weights(gen, frame):
     """|F^+ L_n F|^2 entrywise for every channel n, stacked (n, d, d)."""
-    ops = np.array(gen.noise_ops(), dtype=complex).reshape(-1, gen.dim, gen.dim)
-    return np.abs(frame.conj().T @ ops @ frame) ** 2
+    return np.abs(frame.conj().T @ gen.ops @ frame) ** 2
 
 
 def teich_mahler(canonical, track, k):
@@ -255,9 +253,8 @@ def teich_mahler(canonical, track, k):
     identically, and R is entrywise nonnegative whenever all channel rates
     are.
     """
-    gen = canonical.base
     t = float(track.grid[k])
-    r = np.einsum("n,nij->ij", gen.rates_at(t), _frame_weights(gen, track.frames[k]))
+    r = np.einsum("n,nij->ij", canonical.rates_at(t), _frame_weights(canonical, track.frames[k]))
     w = r - np.diag(r.sum(axis=0))
     return RateMatrix(w=w, r=r, t=t)
 

@@ -200,9 +200,7 @@ def bw_rate_identity(canonical, spectrum, rho_ss=None):
         )
     if rho_ss is None:
         rho_ss = stationary_state(spectrum)
-    gen = canonical.base
-    gammas = gen.rates_at(0.0)
-    ops = gen.noise_ops()
+    gammas = canonical.rates_at(0.0)
     gamma_max = max(1.0, float(spectrum.rates[-1]))
 
     residuals = []
@@ -213,10 +211,8 @@ def bw_rate_identity(canonical, spectrum, rho_ss=None):
             raise NonFaithfulStationaryStateError(
                 "||Y||_ss vanishes for a mode; stationary state is not faithful"
             )
-        total = 0.0
-        for g, lk in zip(gammas, ops):
-            comm = lk @ y - y @ lk
-            total += g * _ss_norm_sq(rho_ss, comm)
+        comm = canonical.ops @ y - y @ canonical.ops
+        total = gammas @ np.einsum("ab,ncb,nca->n", rho_ss, comm.conj(), comm).real
         estimate = total / (2.0 * denom)
         residuals.append(abs(estimate - float(spectrum.rates[l])))
     return np.array(residuals)

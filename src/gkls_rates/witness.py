@@ -86,7 +86,7 @@ def scan(gen, grid):
         raise ValueError("witness scan runs over t >= 0")
 
     n = len(grid)
-    local_rates = np.array([genmod.canonical_rates_at(gen, t) for t in grid])
+    local_rates = genmod.canonical_rates(gen, grid)
     relax = np.empty((n, gen.dim * gen.dim))
     margin = np.empty(n)
     violating = np.empty(n, dtype=bool)

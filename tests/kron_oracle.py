@@ -23,8 +23,8 @@ def dissipator_matrix(l):
 def reshape(gen, t=0.0):
     """Reshaped generator frozen at time ``t``, summed channel by channel."""
     mat = hamiltonian_matrix(gen.hamiltonian)
-    for ch in gen.channels:
-        mat = mat + ch.rate_at(t) * dissipator_matrix(ch.op)
+    for rate, op in zip(gen.rates_at(t), gen.ops):
+        mat = mat + rate * dissipator_matrix(op)
     return mat
 
 

@@ -4,25 +4,23 @@ replaced with one stacked product, kept as a test oracle."""
 import numpy as np
 
 
-def teich_mahler_r(canonical, track, k):
+def teich_mahler_r(gen, track, k):
     """Transition rates R(t_k) in the tracked frame, summed channel by channel."""
-    gen = canonical.base
     t = float(track.grid[k])
     frame = track.frames[k]
     d = gen.dim
     r = np.zeros((d, d))
-    for ch in gen.channels:
-        m = frame.conj().T @ ch.op @ frame
-        r += ch.rate_at(t) * np.abs(m) ** 2
+    for rate, op in zip(gen.rates_at(t), gen.ops):
+        m = frame.conj().T @ op @ frame
+        r += rate * np.abs(m) ** 2
     return r
 
 
-def w_quantity(canonical, track, k):
+def w_quantity(gen, track, k):
     """Off-diagonal weight of each channel in the tracked frame, channel by channel."""
-    gen = canonical.base
     frame = track.frames[k]
-    out = np.zeros((len(gen.channels), gen.dim))
-    for n, ch in enumerate(gen.channels):
-        m2 = np.abs(frame.conj().T @ ch.op @ frame) ** 2
+    out = np.zeros((len(gen.ops), gen.dim))
+    for n, op in enumerate(gen.ops):
+        m2 = np.abs(frame.conj().T @ op @ frame) ** 2
         out[n] = m2.sum(axis=0) + m2.sum(axis=1) - 2.0 * np.diagonal(m2)
     return out

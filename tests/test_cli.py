@@ -17,11 +17,11 @@ def write_generator_file(path, gen, label=None):
         "channels": [
             {
                 "rate": (
-                    cli_rate(ch)
+                    cli_rate(rate)
                 ),
-                "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in ch.op],
+                "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op],
             }
-            for ch in gen.channels
+            for rate, op in zip(gen.rates, gen.ops)
         ],
     }
     if label:
@@ -30,12 +30,12 @@ def write_generator_file(path, gen, label=None):
     return path
 
 
-def cli_rate(ch):
+def cli_rate(rate):
     from gkls_rates import ratelang
 
-    if ch.time_dependent:
-        return ratelang.to_string(ch.rate)
-    return float(ch.rate)
+    if isinstance(rate, ratelang.RateExpr):
+        return ratelang.to_string(rate)
+    return float(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +49,8 @@ def test_load_round_trip(tmp_path):
     assert label == "paper"
     assert loaded.dim == 2
     assert np.allclose(loaded.hamiltonian, gen.hamiltonian)
-    for a, b in zip(loaded.channels, gen.channels):
-        assert np.allclose(a.op, b.op)
+    for a, b in zip(loaded.ops, gen.ops):
+        assert np.allclose(a, b)
 
 
 def test_load_time_dependent_flag(tmp_path):
@@ -264,10 +264,12 @@ def test_sweep_bad_dim(capsys):
         ["classical", "--rates", ","],
         ["classical", "--rates", "inf,1"],
         ["lyapunov", "dephasing", "--horizon", "1e300"],
+        ["classical", "--rates", "1,,2"],
+        ["classical", "--rates", "1,2, "],
     ],
     ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
          "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf", "rates-empty", "rates-inf",
-         "horizon-huge"],
+         "horizon-huge", "rates-empty-field", "rates-blank-trailing-field"],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):

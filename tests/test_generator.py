@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkls_rates import generator as g
-from gkls_rates import matcore, spectra
+from gkls_rates import matcore, ratelang, spectra
 from gkls_rates.errors import (
     BadChannelCountError,
     DimensionMismatchError,
@@ -15,6 +15,7 @@ from gkls_rates.errors import (
     TimeDependentError,
 )
 
+import canonical_oracle
 import kron_oracle
 
 H0 = np.zeros((2, 2))
@@ -48,13 +49,52 @@ def test_build_amplitude_damping():
 
 def test_build_zero_generator():
     gen = g.build(H0, [])
-    assert gen.channels == ()
+    assert gen.rates == () and gen.ops.shape == (0, 2, 2)
     assert np.allclose(g.reshape(gen), 0.0)
 
 
 def test_build_paper_qubit_channels_canonical():
     gen = paper_qubit()
     assert g.is_canonical(gen)
+
+
+PERTURBATIONS = ("none", "trace", "norm", "overlap", "traceful")
+
+
+@example(d=2, n=1, k=0, seed=0, mix=False, kind="trace", scale=1.0, tol=matcore.INPUT_TOL)
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(0, 15),
+    k=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+    mix=st.booleans(),
+    kind=st.sampled_from(PERTURBATIONS),
+    scale=st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]),
+    tol=st.sampled_from([matcore.INPUT_TOL, matcore.SPECTRAL_TOL]),
+)
+def test_is_canonical_matches_operator_loop(d, n, k, seed, mix, kind, scale, tol):
+    # canonical stacks (Gell-Mann rows, or rows mixed by a random unitary), moved
+    # by scale * tol in a trace or a Gram entry, or given an identity part
+    rng = np.random.default_rng(seed)
+    ops = np.array(g.gell_mann_basis(d))
+    if mix:
+        a = rng.standard_normal((d * d - 1,) * 2) + 1j * rng.standard_normal((d * d - 1,) * 2)
+        ops = np.einsum("kl,kab->lab", np.linalg.qr(a)[0], ops)
+    n = min(n, d * d - 1)
+    ops = ops[:n].copy()
+    if n:
+        k %= n
+        eps = scale * tol
+        if kind == "trace":
+            ops[k, 0, 0] += eps
+        elif kind == "norm":  # the Gram diagonal moves by about eps
+            ops[k] *= 1.0 + eps / 2.0
+        elif kind == "overlap" and n > 1:  # an off-diagonal Gram entry moves by about eps
+            ops[k] += eps * ops[(k + 1) % n]
+        elif kind == "traceful":
+            ops[k] += rng.standard_normal() * np.eye(d)
+    gen = g.GklsGenerator(d, np.zeros((d, d), dtype=complex), ops, (1.0,) * n, False)
+    assert g.is_canonical(gen, tol) == canonical_oracle.is_canonical(gen, tol)
 
 
 def test_build_rejects_non_hermitian_hamiltonian():
@@ -189,10 +229,10 @@ def assembly_case(kind, d, seed):
         return g.build(np.zeros((d, d)), list(zip(rates, basis[-(d - 1):])))
     if kind == "rank1":
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return g.canonicalize(h, np.outer(b, b.conj()), basis).base
+        return g.canonicalize(h, np.outer(b, b.conj()), basis)
     if kind == "negative":  # indefinite Kossakowski matrix
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return g.canonicalize(h, (c + c.conj().T) / 2, basis).base
+        return g.canonicalize(h, (c + c.conj().T) / 2, basis)
     channels = [
         (TD_RATES[k % len(TD_RATES)] if k % 3 else float(rng.uniform(-1.0, 1.0)), op)
         for k, op in enumerate(basis)
@@ -222,7 +262,7 @@ def test_assembly_matches_kron_oracle(d, kind, seed, t):
 def test_assembly_splits_time_dependent_channels():
     gen = assembly_case("time_dependent", 3, seed=5)
     parts = g.superop_parts(gen)
-    n_td = sum(ch.time_dependent for ch in gen.channels)
+    n_td = sum(isinstance(r, ratelang.RateExpr) for r in gen.rates)
     assert parts.stack.shape == (n_td, 3**4)
     assert len(parts.rates) == n_td
     autonomous = g.superop_parts(g.freeze(gen, 0.7))
@@ -289,17 +329,17 @@ def test_decompose_rejects_non_hermiticity_preserving():
 
 def test_canonicalize_identity_kossakowski():
     can = g.canonicalize(H0, np.eye(3))
-    assert len(can.base.channels) == 3
-    assert np.allclose(can.base.rates_at(), [1.0, 1.0, 1.0])
-    assert can.gamma_sum == pytest.approx(3.0)
-    assert g.is_canonical(can.base)
-    assert can.completely_positive
+    assert len(can.rates) == 3
+    assert np.allclose(can.rates_at(), [1.0, 1.0, 1.0])
+    assert np.sum(can.rates_at()) == pytest.approx(3.0)
+    assert g.is_canonical(can)
+    assert np.all(can.rates_at() >= 0)
 
 
 def test_canonicalize_prunes_tiny_rates():
     c = np.diag([1.0, 1e-15, 0.5])
     can = g.canonicalize(H0, c)
-    assert len(can.base.channels) == 2
+    assert len(can.rates) == 2
 
 
 def test_canonicalize_preserves_action(rng, make_density):
@@ -312,7 +352,7 @@ def test_canonicalize_preserves_action(rng, make_density):
         rho = (lambda a: a / np.trace(a))(
             (lambda m: m @ m.conj().T)(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         )
-        assert np.allclose(g.apply(gen, rho), g.apply(can.base, rho), atol=1e-10)
+        assert np.allclose(g.apply(gen, rho), g.apply(can, rho), atol=1e-10)
 
 
 def test_canonicalize_rejects_non_hermitian():
@@ -324,9 +364,9 @@ def test_canonicalize_already_canonical_round_trip():
     gen = g.random_cp(2, 3, seed=77)
     h, c, basis = g.gks_decompose(g.reshape(gen))
     can = g.canonicalize(h, c, basis)
-    assert np.allclose(np.sort(can.base.rates_at()), np.sort(gen.rates_at()), atol=1e-10)
+    assert np.allclose(np.sort(can.rates_at()), np.sort(gen.rates_at()), atol=1e-10)
     s1 = g.reshape(gen)
-    s2 = g.reshape(can.base)
+    s2 = g.reshape(can)
     assert np.linalg.norm(s1 - s2) <= 1e-8 * np.linalg.norm(s1)
 
 
@@ -416,10 +456,8 @@ def test_random_cp_deterministic():
     a = g.random_cp(3, 5, seed=123)
     b = g.random_cp(3, 5, seed=123)
     assert np.allclose(a.hamiltonian, b.hamiltonian)
-    assert len(a.channels) == len(b.channels)
-    for ca, cb in zip(a.channels, b.channels):
-        assert ca.rate == cb.rate
-        assert np.allclose(ca.op, cb.op)
+    assert a.rates == b.rates
+    assert np.allclose(a.ops, b.ops)
 
 
 def test_random_cp_is_canonical_and_cp():
@@ -432,7 +470,7 @@ def test_random_cp_is_canonical_and_cp():
 
 def test_random_cp_channel_count():
     gen = g.random_cp(3, 4, seed=0)
-    assert len(gen.channels) == 4
+    assert len(gen.rates) == 4
     with pytest.raises(BadChannelCountError):
         g.random_cp(2, 4, seed=0)
     with pytest.raises(BadChannelCountError):

@@ -328,7 +328,7 @@ def _frame_case(kind, seed, t):
 )
 def test_stacked_rates_match_channel_loop(kind, seed, t):
     can, track = _frame_case(kind, seed, t)
-    tol = 1e-14 * max(1.0, float(np.sum(np.abs(can.base.rates_at(t)))))
+    tol = 1e-14 * max(1.0, float(np.sum(np.abs(can.rates_at(t)))))
     rm = pauli.teich_mahler(can, track, 0)
     r = pauli_oracle.teich_mahler_r(can, track, 0)
     assert np.max(np.abs(rm.r - r), initial=0.0) <= tol
@@ -345,9 +345,8 @@ def test_w_quantity_rejects_non_canonical():
     track = pauli.EigenTrack(
         grid=np.array([0.0]), populations=np.full((1, 2), 0.5), frames=(np.eye(2, dtype=complex),)
     )
-    fake_canonical = g.CanonicalForm(base=gen, gamma_sum=1.0)
     with pytest.raises(NonCanonicalGeneratorError):
-        pauli.w_quantity(fake_canonical, track, 0)
+        pauli.w_quantity(gen, track, 0)
 
 
 # ---------------------------------------------------------------------------

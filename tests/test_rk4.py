@@ -33,7 +33,7 @@ def time_dependent_case(kind, seed):
     if kind != "d3":
         return witness.qubit_generator(rate(), rate(), rate(), omega=rng.uniform(0.0, 1.0))
     base = g.random_cp(3, int(rng.integers(1, 9)), seed=seed)
-    return g.build(base.hamiltonian, [(rate(), ch.op) for ch in base.channels])
+    return g.build(base.hamiltonian, [(rate(), op) for op in base.ops])
 
 
 @settings(max_examples=200)

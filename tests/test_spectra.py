@@ -224,11 +224,11 @@ def test_bw_identity_unital_random():
     c = b @ b.T
     c /= np.trace(c)
     can = g.canonicalize(np.zeros((3, 3)), c)
-    spec = spectra.relaxation_spectrum(can.base)
+    spec = spectra.relaxation_spectrum(can)
     residuals = spectra.bw_rate_identity(can, spec, rho_ss=np.eye(3) / 3)
     assert np.max(residuals) <= 1e-8
     # unital case inherits Gamma_l <= sum gamma from the commutator estimate
-    assert np.max(spec.rates) <= np.sum(can.base.rates_at()) + 1e-10
+    assert np.max(spec.rates) <= np.sum(can.rates_at()) + 1e-10
 
 
 def test_bw_identity_random_cp():

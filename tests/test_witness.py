@@ -185,9 +185,9 @@ def test_scan_cp_divisible_random_time_dependent_never_violates():
     for k in range(500):
         base = g.random_cp(2, 3, seed=20_000 + k)
         channels = []
-        for ch in base.channels:
+        for op in base.ops:
             a, b, w = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.2, 3.0)
-            channels.append((f"{a} + {b}*sin({w}*t)^2", ch.op))
+            channels.append((f"{a} + {b}*sin({w}*t)^2", op))
         gen = g.build(base.hamiltonian, channels)
         assert gen.time_dependent
         report = witness.scan(gen, grid)
