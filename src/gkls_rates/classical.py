@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import generator as genmod
-from . import matcore
+from . import matcore, pauli
 from .errors import (
     ColumnSumError,
     NegativeOffDiagonalError,
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KolmogorovGenerator:
     dim: int
     k: np.ndarray
@@ -83,8 +82,9 @@ def from_rates(rates):
 def lindblad_to_kolmogorov(canonical, basis):
     """Populations-only reduction K_ij = <i| L(|j><j|) |i> in a fixed basis.
 
-    Equals R_ij - delta_ij sum_k R_kj with R_ij = sum_n gamma_n |<i|L_n|j>|^2,
-    and validates as a Kolmogorov generator for completely positive input.
+    Equals the rate matrix ``pauli.rate_matrix`` in that basis, R_ij -
+    delta_ij sum_k R_kj with R_ij = sum_n gamma_n |<i|L_n|j>|^2, and
+    validates as a Kolmogorov generator for completely positive input.
     """
     d = canonical.dim
     b = np.asarray(basis, dtype=complex)
@@ -93,15 +93,7 @@ def lindblad_to_kolmogorov(canonical, basis):
     gram = b.conj().T @ b
     if float(np.max(np.abs(gram - np.eye(d)))) > matcore.INPUT_TOL:
         raise NonOrthonormalBasisError(f"basis vectors are not orthonormal to {matcore.INPUT_TOL}")
-
-    k = np.zeros((d, d))
-    for j in range(d):
-        ket = b[:, j]
-        proj = np.outer(ket, ket.conj())
-        image = genmod.apply(canonical, proj)
-        for i in range(d):
-            k[i, j] = float((b[:, i].conj() @ image @ b[:, i]).real)
-    return validate(k)
+    return validate(pauli.rate_matrix(canonical, b).w)
 
 
 def classical_spectrum(k):

@@ -326,7 +326,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, GklsError, ValueError) as exc:
+    except (OSError, GklsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -95,7 +95,7 @@ def unvec(v, d):
     return np.asarray(v, dtype=complex).reshape(d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GklsGenerator:
     """H plus noise operators ``ops`` (n, d, d) and one rate per operator, each a
     float or a ``ratelang.RateExpr``; ``time_dependent`` when any rate is an expression."""
@@ -239,7 +239,7 @@ def _kron(a, b):
     return out.reshape(out.shape[:-4] + (d * d, d * d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperopParts:
     """Reshaped generator split as L(t) = static + sum_l gamma_l(t) D_l.
 
@@ -253,14 +253,11 @@ class SuperopParts:
     rates: tuple  # ratelang.RateExpr per row of ``stack``
 
     def at(self, t):
-        """The d^2 x d^2 matrix of L(t); ``static`` itself when no rate varies.
-        An ndarray of times gives the stack of L at each, from one ``gammas @ stack``."""
-        if not isinstance(t, np.ndarray):
-            if not self.rates:
-                return self.static
-            gammas = np.array([ratelang.evaluate(r, t) for r in self.rates])
-            return self.static + (gammas @ self.stack).reshape(self.static.shape)
+        """L(t) as a d^2 x d^2 matrix, or stacked over an array of times, from one
+        ``gammas @ stack``; ``static`` itself at a scalar t when no rate varies."""
         ts = np.asarray(t, dtype=float)
+        if ts.ndim == 0 and not self.rates:
+            return self.static
         gammas = np.array([[ratelang.evaluate(r, s) for r in self.rates] for s in ts.flat])
         gammas = gammas.reshape(ts.size, len(self.rates))
         return self.static + (gammas @ self.stack).reshape(ts.shape + self.static.shape)
@@ -315,9 +312,10 @@ def reshape(gen, t=0.0):
 # traceless orthonormal basis (generalized Gell-Mann matrices)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def gell_mann_basis(d):
-    """Hermitian traceless orthonormal basis, ordered symmetric,
-    antisymmetric, diagonal."""
+    """Hermitian traceless orthonormal basis as a read-only (d^2 - 1, d, d) stack,
+    ordered symmetric, antisymmetric, diagonal; built once per dimension."""
     basis = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -336,13 +334,7 @@ def gell_mann_basis(d):
             m[i, i] = 1.0
         m[l, l] = -float(l)
         basis.append(m / np.sqrt(l * (l + 1.0)))
-    return basis
-
-
-@functools.lru_cache(maxsize=16)
-def _basis_array(d):
-    """``gell_mann_basis(d)`` as a read-only (d^2 - 1, d, d) array, built on first use."""
-    basis = np.array(gell_mann_basis(d))
+    basis = np.array(basis)
     basis.flags.writeable = False
     return basis
 
@@ -374,7 +366,7 @@ def gks_decompose(superop):
     # reshuffle S[(i,j),(k,l)] -> R[(i,k),(j,l)]; then R = U c U^+ with the
     # columns of U the vectorized orthonormal basis elements
     r = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    basis = _basis_array(d)
+    basis = gell_mann_basis(d)
     u = np.column_stack([vec(np.eye(d) / np.sqrt(d)), basis.reshape(-1, d * d).T])
     c = u.conj().T @ r @ u
     if float(np.linalg.norm(c - c.conj().T)) > matcore.SPECTRAL_TOL * snorm:
@@ -417,7 +409,7 @@ def canonicalize(h, kossakowski, basis=None):
     """
     h = _hermitian_part(h)
     d = h.shape[0]
-    basis = _basis_array(d) if basis is None else np.asarray(basis, dtype=complex)
+    basis = gell_mann_basis(d) if basis is None else np.asarray(basis, dtype=complex)
     if basis.shape[1:] != (d, d):
         raise DimensionMismatchError(f"basis has shape {basis.shape}, expected (n, {d}, {d})")
     c = matcore.as_matrix(kossakowski, "kossakowski")
@@ -426,14 +418,14 @@ def canonicalize(h, kossakowski, basis=None):
     return GklsGenerator(d, h, ops, tuple(gammas[kept].tolist()), False)
 
 
-def canonical_form(gen, tol=matcore.INPUT_TOL):
+def canonical_form(gen):
     """The canonical generator of ``gen``: ``gen`` itself when its channels already are.
 
     Time-dependent generators must already be canonical (their noise
     operators are fixed, only rates vary); autonomous others go through
     ``gks_decompose``.
     """
-    if is_canonical(gen, tol=tol):
+    if is_canonical(gen):
         return gen
     if gen.time_dependent:
         raise TimeDependentError(
@@ -522,6 +514,6 @@ def random_cp_batch(d, n_channels, seeds):
     over the seeds s, and the sums of their canonical rates.  The operators skip
     ``_fix_phase``, which leaves the superoperator unchanged."""
     h, c = map(np.stack, zip(*[_draw_cp(d, n_channels, s) for s in seeds]))
-    gammas, ops, kept = _canonical_stack(c, _basis_array(d))
+    gammas, ops, kept = _canonical_stack(c, gell_mann_basis(d))
     rates = np.where(kept, gammas, 0.0)
     return _assemble(h, rates, ops), rates.sum(axis=-1)

@@ -41,7 +41,7 @@ CONVERGENCE_TOL = 1e-2
 _MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyapunovEstimate:
     """Estimated exponent(s) with window diagnostics.
 
@@ -63,7 +63,7 @@ class LyapunovEstimate:
         return self.convergence_gap <= CONVERGENCE_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisibilityReport:
     chi_max: float
     rhs_cp: float
@@ -287,20 +287,21 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     return estimate
 
 
-def divisibility_bounds(gen, horizon, rate_samples=2001):
+def divisibility_bounds(gen, horizon):
     """Evaluate the exponent bound and its negative-rate correction.
 
     Reports chi_max, (1/d) sum of the remaining exponents, and the
-    correction sup_t sum_l (|gamma_l(t)| - gamma_l(t))/d (also its time
-    average, the trace-norm rate of change).  For completely positive
-    evolution the correction vanishes and the plain bound must hold.
+    correction sup_t sum_l (|gamma_l(t)| - gamma_l(t))/d over 2001 points of
+    [0, horizon] (also its time average, the trace-norm rate of change).  For
+    completely positive evolution the correction vanishes and the plain bound
+    must hold.
     """
     estimate = qr_spectrum(gen, horizon)
     exponents = np.asarray(estimate.spectrum)
     chi_max = float(exponents[-1])
     rhs_cp = float(np.sum(exponents[1:]) / gen.dim)
 
-    ts = np.linspace(0.0, horizon, rate_samples)
+    ts = np.linspace(0.0, horizon, 2001)
     g = genmod.canonical_rates(gen, ts if gen.time_dependent else ts[:1])
     corr = np.broadcast_to(np.sum(np.abs(g) - g, axis=1) / gen.dim, ts.shape)
     correction_sup = float(np.max(corr))

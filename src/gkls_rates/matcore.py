@@ -63,6 +63,16 @@ def as_matrix(a, name="matrix"):
     return m
 
 
+def as_grid(grid):
+    """A time grid as a float array: finite, 1-d, non-empty and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
+    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be non-empty and strictly increasing")
+    return grid
+
+
 def _require_square(m, op):
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"{op} requires a square matrix, got shape {m.shape}")
@@ -74,7 +84,7 @@ def is_hermitian(m, rtol):
     return float(np.linalg.norm(m - m.conj().T)) <= rtol * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigResult:
     """Eigenvalues with paired right and left eigenvectors.
 

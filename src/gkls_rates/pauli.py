@@ -9,7 +9,8 @@ continuously in t, the populations close on themselves:
 
 with nonnegative R for completely positive generators.  The row-sum norm
 obeys ||W(t)||_inf <= sum_n gamma_n at every time and in every frame, which
-is the mechanism behind the universal rate bound.
+is the mechanism behind the universal rate bound.  ``rate_matrix`` gives W
+in any frame; states and tracked frames are (n_times, d, d) stacks.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import (
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import INPUT_TOL, SPECTRAL_TOL, is_hermitian, rk4
+from .matcore import INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian, rk4
 
 __all__ = [
     "Trajectory",
@@ -36,6 +37,7 @@ __all__ = [
     "RateMatrix",
     "evolve",
     "spectral_track",
+    "rate_matrix",
     "teich_mahler",
     "pauli_residual",
     "w_quantity",
@@ -47,13 +49,13 @@ _MAX_SEGMENT_STEPS = 1 << 22
 _RICHARDSON_TOL = 1e-9  # per unit time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     grid: np.ndarray
-    states: tuple
+    states: np.ndarray  # (n_times, d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenTrack:
     """Continuously tracked eigen-decomposition of a trajectory.
 
@@ -64,10 +66,10 @@ class EigenTrack:
 
     grid: np.ndarray
     populations: np.ndarray
-    frames: tuple
+    frames: np.ndarray  # (n_times, d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     w: np.ndarray
     r: np.ndarray
@@ -123,38 +125,25 @@ def evolve(gen, rho0, grid):
     time-dependent generators are integrated with fixed-step RK4 under a
     step-halving Richardson check of 1e-9 per unit time.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid = as_grid(grid)
     d = gen.dim
     rho0 = _check_state(rho0, d)
-    v0 = genmod.vec(rho0)
+    v = genmod.vec(rho0)
 
     if not gen.time_dependent:
         smat = genmod.reshape(gen)
-        states = []
-        for t in grid:
-            if t == 0.0:
-                states.append(rho0.copy())
-                continue
-            v = scipy.linalg.expm(t * smat) @ v0
-            rho = genmod.unvec(v, d)
-            states.append((rho + rho.conj().T) / 2.0)
-        return Trajectory(grid=grid, states=tuple(states))
+        states = np.array([scipy.linalg.expm(t * smat) @ v for t in grid]).reshape(-1, d, d)
+        return Trajectory(grid=grid, states=(states + states.conj().swapaxes(1, 2)) / 2.0)
 
     parts = genmod.superop_parts(gen)
     states = []
-    v = _integrate_segment(parts, v0, 0.0, float(grid[0]))
-    for k in range(len(grid)):
-        if k:
-            v = _integrate_segment(parts, v, float(grid[k - 1]), float(grid[k]))
+    for a, b in zip([0.0, *grid[:-1]], grid):
+        v = _integrate_segment(parts, v, float(a), float(b))
         rho = genmod.unvec(v, d)
         rho = (rho + rho.conj().T) / 2.0
         v = genmod.vec(rho)
         states.append(rho)
-    return Trajectory(grid=grid, states=tuple(states))
+    return Trajectory(grid=grid, states=np.array(states))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +216,7 @@ def spectral_track(traj):
     return EigenTrack(
         grid=traj.grid,
         populations=np.array(populations),
-        frames=tuple(frames),
+        frames=np.array(frames),
     )
 
 
@@ -246,17 +235,22 @@ def _frame_weights(gen, frame):
     return np.abs(frame.conj().T @ gen.ops @ frame) ** 2
 
 
-def teich_mahler(canonical, track, k):
-    """Rate matrix W(t_k) in the tracked frame.
+def rate_matrix(gen, frame, t=0.0):
+    """Rate matrix W(t) of ``gen`` in the orthonormal ``frame`` (vectors as columns).
 
     Off-diagonal entries are the transition rates R_ij; column sums vanish
     identically, and R is entrywise nonnegative whenever all channel rates
     are.
     """
-    t = float(track.grid[k])
-    r = np.einsum("n,nij->ij", canonical.rates_at(t), _frame_weights(canonical, track.frames[k]))
+    t = float(t)
+    r = np.einsum("n,nij->ij", gen.rates_at(t), _frame_weights(gen, frame))
     w = r - np.diag(r.sum(axis=0))
     return RateMatrix(w=w, r=r, t=t)
+
+
+def teich_mahler(canonical, track, k):
+    """Rate matrix W(t_k) in the tracked frame."""
+    return rate_matrix(canonical, track.frames[k], track.grid[k])
 
 
 def pauli_residual(canonical, track, k):

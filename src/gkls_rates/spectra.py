@@ -1,8 +1,9 @@
 """Relaxation spectra, the universal rate bound, and logarithmic norms.
 
 The relaxation rates of a generator are Gamma_l = -Re lambda_l over the
-eigenvalues of its reshaped d^2 x d^2 matrix, sorted ascending with the
-zero mode first.  For completely positive generators the maximal rate obeys
+eigenvalues of its reshaped d^2 x d^2 matrix, sorted ascending with the zero
+mode first; its eigen-operators come as (d^2, d, d) stacks in that order.  For
+completely positive generators the maximal rate obeys
 
     Gamma_max <= (1/d) * sum_{l>=1} Gamma_l,
 
@@ -43,25 +44,21 @@ __all__ = [
 SWEEP_CHUNK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationSpectrum:
     """Eigen-data of a reshaped generator, ordered by ascending rate.
 
-    ``rates[0]`` is the zero mode; ``right_ops``/``left_ops`` are the
-    unreshaped eigen-operators, biorthonormal when the spectrum is
-    diagonalizable.
+    ``rates[0]`` is the zero mode; ``right_ops``/``left_ops`` stack the
+    unreshaped eigen-operators, one (d, d) matrix per rate, biorthonormal
+    when the spectrum is diagonalizable.
     """
 
     eigenvalues: np.ndarray
     rates: np.ndarray
-    right_ops: tuple
-    left_ops: tuple
+    right_ops: np.ndarray  # (d^2, d, d)
+    left_ops: np.ndarray  # (d^2, d, d)
     diagonalizable: bool
     vector_condition: float
-
-    @property
-    def dim(self):
-        return int(round(np.sqrt(len(self.rates))))
 
 
 @dataclass(frozen=True)
@@ -98,13 +95,11 @@ def relaxation_spectrum(gen):
     rates = -res.values.real
     order = np.lexsort((np.arange(len(rates)), res.values.imag, rates))
     d = gen.dim
-    right = tuple(generator.unvec(res.right_vectors[:, k], d) for k in order)
-    left = tuple(generator.unvec(res.left_vectors[:, k], d) for k in order)
     return RelaxationSpectrum(
         eigenvalues=res.values[order],
         rates=rates[order],
-        right_ops=right,
-        left_ops=left,
+        right_ops=res.right_vectors[:, order].T.reshape(-1, d, d),
+        left_ops=res.left_vectors[:, order].T.reshape(-1, d, d),
         diagonalizable=not res.is_defective,
         vector_condition=res.vector_condition,
     )
@@ -179,10 +174,6 @@ def stationary_state(spectrum):
     return (rho + rho.conj().T) / 2.0
 
 
-def _ss_norm_sq(rho_ss, y):
-    return float(np.trace(rho_ss @ y.conj().T @ y).real)
-
-
 def bw_rate_identity(canonical, spectrum, rho_ss=None):
     """Residuals of the stationary-weighted commutator identity.
 
@@ -200,22 +191,17 @@ def bw_rate_identity(canonical, spectrum, rho_ss=None):
         )
     if rho_ss is None:
         rho_ss = stationary_state(spectrum)
-    gammas = canonical.rates_at(0.0)
-    gamma_max = max(1.0, float(spectrum.rates[-1]))
-
-    residuals = []
-    for l in range(1, len(spectrum.rates)):
-        y = spectrum.left_ops[l]
-        denom = _ss_norm_sq(rho_ss, y)
-        if denom <= matcore.EXACT_TOL * float(np.linalg.norm(y)) ** 2:
-            raise NonFaithfulStationaryStateError(
-                "||Y||_ss vanishes for a mode; stationary state is not faithful"
-            )
-        comm = canonical.ops @ y - y @ canonical.ops
-        total = gammas @ np.einsum("ab,ncb,nca->n", rho_ss, comm.conj(), comm).real
-        estimate = total / (2.0 * denom)
-        residuals.append(abs(estimate - float(spectrum.rates[l])))
-    return np.array(residuals)
+    ys = spectrum.left_ops[1:]
+    denom = np.einsum("ab,mcb,mca->m", rho_ss, ys.conj(), ys).real
+    if np.any(denom <= matcore.EXACT_TOL * np.linalg.norm(ys, axis=(1, 2)) ** 2):
+        raise NonFaithfulStationaryStateError(
+            "||Y||_ss vanishes for a mode; stationary state is not faithful"
+        )
+    # [L_k, Y] per mode m and channel k
+    comm = canonical.ops @ ys[:, None] - ys[:, None] @ canonical.ops
+    comm_sq = np.einsum("ab,mkcb,mkca->mk", rho_ss, comm.conj(), comm).real
+    estimates = comm_sq @ canonical.rates_at(0.0) / (2.0 * denom)
+    return np.abs(estimates - spectrum.rates[1:])
 
 
 def log_norm(a, kind):

@@ -34,7 +34,7 @@ __all__ = [
 _BISECT_RESOLUTION = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
     grid: np.ndarray
     local_rates: np.ndarray  # (n_times, n_channels) canonical rates
@@ -77,11 +77,7 @@ def scan(gen, grid):
     endpoints refined by bisection (margins are continuous in t) to 1e-6
     time resolution.
     """
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid points must be finite")
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be non-empty and strictly increasing")
+    grid = matcore.as_grid(grid)
     if grid[0] < 0.0:
         raise ValueError("witness scan runs over t >= 0")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -266,10 +267,13 @@ def test_sweep_bad_dim(capsys):
         ["lyapunov", "dephasing", "--horizon", "1e300"],
         ["classical", "--rates", "1,,2"],
         ["classical", "--rates", "1,2, "],
+        ["analyze", tempfile.gettempdir()],
+        ["analyze", "dephasing", "--json", tempfile.gettempdir()],
     ],
     ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
          "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf", "rates-empty", "rates-inf",
-         "horizon-huge", "rates-empty-field", "rates-blank-trailing-field"],
+         "horizon-huge", "rates-empty-field", "rates-blank-trailing-field",
+         "input-directory", "output-directory"],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):

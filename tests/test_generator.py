@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkls_rates import generator as g
-from gkls_rates import matcore, ratelang, spectra
+from gkls_rates import classical, lyapunov, matcore, pauli, ratelang, spectra, witness
 from gkls_rates.errors import (
     BadChannelCountError,
     DimensionMismatchError,
@@ -489,3 +489,39 @@ def test_canonical_trace_identity_rates_vs_gammas():
         gen = g.random_cp(3, 8, seed=seed)
         spec = spectra.relaxation_spectrum(gen)
         assert np.sum(spec.rates) / 3 == pytest.approx(np.sum(gen.rates_at()), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# records holding arrays compare by identity and hash
+# ---------------------------------------------------------------------------
+
+def _estimate():
+    return lyapunov.LyapunovEstimate(1.0, np.zeros(4), 0.0, 1.0, 0.0, ())
+
+
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
+RECORDS = {
+    "GklsGenerator": lambda: witness.preset("dephasing"),
+    "SuperopParts": lambda: g.superop_parts(witness.preset("eternal_nm")),
+    "EigResult": lambda: matcore.eig(g.reshape(witness.preset("paper_qubit"))),
+    "RelaxationSpectrum": lambda: spectra.relaxation_spectrum(witness.preset("dephasing")),
+    "WitnessReport": lambda: witness.scan(witness.preset("eternal_nm"), np.linspace(0, 1, 3)),
+    "Trajectory": lambda: pauli.evolve(witness.preset("dephasing"), _PLUS, [0.0, 1.0]),
+    "EigenTrack": lambda: pauli.spectral_track(
+        pauli.evolve(witness.preset("dephasing"), _PLUS, [0.0, 1.0])
+    ),
+    "RateMatrix": lambda: pauli.rate_matrix(witness.preset("dephasing"), np.eye(2)),
+    "LyapunovEstimate": _estimate,
+    "DivisibilityReport": lambda: lyapunov.DivisibilityReport(
+        1.0, 1.0, 0.0, 0.0, True, True, _estimate()
+    ),
+    "KolmogorovGenerator": lambda: classical.from_rates([1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and b == b
+    assert a != b
+    assert len({a, b}) == 2

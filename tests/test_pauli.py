@@ -125,6 +125,12 @@ def test_evolve_validates_state():
         pauli.evolve(gen, 2 * PLUS, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_evolve_rejects_non_finite_grid(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pauli.evolve(witness.preset("paper_qubit"), PLUS, [0.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # spectral_track
 # ---------------------------------------------------------------------------
