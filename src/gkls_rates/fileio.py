@@ -1,5 +1,6 @@
 """Small file helpers: atomic text writes and reproducible float formatting."""
 
+import errno
 import os
 import tempfile
 
@@ -9,6 +10,8 @@ __all__ = ["atomic_write", "fmt17"]
 def atomic_write(path, text):
     """Write text to ``path`` via a temp file in the same directory + rename."""
     path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:

@@ -299,7 +299,10 @@ def superop_parts(gen):
     fixed_rates = np.array([[r for r, v in zip(gen.rates, varying) if not v]], dtype=float)
     static = _assemble(gen.hamiltonian, fixed_rates, gen.ops[None, np.logical_not(varying)])
     rates = tuple(r for r, v in zip(gen.rates, varying) if v)
-    stack = _dissipator_sums(np.eye(len(rates)), gen.ops[None, varying], gen.dim)
+    if rates:
+        stack = _dissipator_sums(np.eye(len(rates)), gen.ops[None, varying], gen.dim)
+    else:
+        stack = np.zeros((0, gen.dim**4), dtype=complex)
     return SuperopParts(static=static[0], stack=stack, rates=rates)
 
 

@@ -10,6 +10,14 @@ whole exponent spectrum.  For completely positive evolution the exponents
 inherit the rate bound chi_max <= (1/d) sum chi_l; time-dependent
 generators with temporarily negative rates can violate it, which is the
 divisibility witness evaluated here.
+
+An autonomous flow advances in blocks of up to 64 steps from one stack
+P^1..P^k of the step propagator P = expm(-delta L): one batched product per
+block gives every per-step value, and the state is renormalized or
+QR-factorized once per block.  k keeps exp(k delta (mu_2(L) + mu_2(-L))),
+a bound on the column spread of a block product for any L, at most 1e4;
+blocks also end at the burn-in and convergence snapshots.  A time-dependent
+flow takes one RK4 segment and one QR per step.
 """
 
 from dataclasses import dataclass
@@ -39,6 +47,11 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-2
 _MAX_STEPS = 10_000_000
+# a block product's columns spread by at most this factor, so Householder QR
+# keeps about 1e-12 relative accuracy in each log R_ii
+_MAX_SPREAD = 1e4
+# longest block; at d = 10 the stack of propagator powers is then at most 10 MB
+_BLOCK_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,23 +151,52 @@ def _windows_from_series(times, values, burn_index):
     return chi, gap, tuple(windows)
 
 
-def _population_norm(v, d, kind):
+def _population_norm(vs, d, kind):
+    """Population norms of the rows of ``vs``, each a vectorized d x d matrix."""
     if kind == "two":
-        return float(np.linalg.norm(v))
-    pops = np.linalg.eigvalsh(genmod.unvec(v, d))
+        return np.linalg.norm(vs, axis=1)
+    pops = np.linalg.eigvalsh(vs.reshape(-1, d, d))
     if kind == "one":
-        return float(np.sum(np.abs(pops)))
+        return np.sum(np.abs(pops), axis=1)
     if kind == "inf":
-        return float(np.max(np.abs(pops)))
+        return np.max(np.abs(pops), axis=1)
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _block_powers(superop, delta, steps):
+    """The stack P^1..P^k of the step propagator P = expm(-delta L).
+
+    k is the longest block, at most ``_BLOCK_CAP`` and ``steps``, with
+    exp(k delta (mu_2(L) + mu_2(-L))) <= ``_MAX_SPREAD``: that bounds the
+    2-norm condition of P^k, so the columns of a block product spread by at
+    most that factor whatever the normality of L.
+    """
+    spread = delta * (spectra.log_norm(superop, "two") + spectra.log_norm(-superop, "two"))
+    k = min(_BLOCK_CAP, steps)
+    if k * spread > np.log(_MAX_SPREAD):
+        k = max(1, int(np.log(_MAX_SPREAD) / spread))
+    powers = np.empty((k,) + superop.shape, dtype=complex)
+    powers[0] = scipy.linalg.expm(-delta * superop)
+    for i in range(1, k):
+        powers[i] = powers[i - 1] @ powers[0]
+    return powers
+
+
+def _block_ends(steps, k, stops):
+    """Last step of each block of at most k steps; a block also ends at each of ``stops``."""
+    end = 0
+    while end < steps:
+        end = min([end + k, steps] + [s for s in stops if s > end])
+        yield end
 
 
 def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     """Maximal exponent of the backward population flow.
 
-    Runs the sign-flipped flow forward from ``rho0``, renormalizing every
-    ``renorm_interval`` and accumulating log growth of the chosen population
-    norm.  The initial state must overlap the dominant left mode; the
+    Runs the sign-flipped flow forward from ``rho0`` in steps of at most
+    ``renorm_interval`` and records the accumulated log growth of the chosen
+    population norm after each step; the state is renormalized at the end of
+    each block of steps (see the module notes).  The initial state must overlap the dominant left mode; the
     estimate converges to the largest relaxation rate at a speed set by the
     spectral gap.
     """
@@ -180,23 +222,25 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
             f"overlap with the dominant left mode is {best:.2e}"
         )
 
-    prop = scipy.linalg.expm(-delta * genmod.reshape(gen))
+    powers = _block_powers(genmod.reshape(gen), delta, steps)
     d = gen.dim
 
     v = genmod.vec(rho0)
     v = v / np.linalg.norm(v)
     logsum = 0.0
-    times = [0.0]
-    values = [np.log(max(_population_norm(v, d, norm), 1e-300))]
-    for k in range(1, steps + 1):
-        v = prop @ v
-        growth = float(np.linalg.norm(v))
-        logsum += np.log(growth)
-        v = v / growth
-        times.append(k * delta)
-        values.append(logsum + np.log(max(_population_norm(v, d, norm), 1e-300)))
+    values = [np.log(np.maximum(_population_norm(v[np.newaxis], d, norm), 1e-300))]
+    start = 0
+    for end in _block_ends(steps, len(powers), ()):
+        # the state after each step of the block, renormalized only at its end
+        vs = powers[: end - start] @ v
+        growth = np.linalg.norm(vs, axis=1)
+        vs = vs / growth[:, np.newaxis]
+        logs = logsum + np.log(growth)
+        values.append(logs + np.log(np.maximum(_population_norm(vs, d, norm), 1e-300)))
+        logsum, v, start = logs[-1], vs[-1], end
 
-    chi, gap, windows = _windows_from_series(np.array(times), np.array(values), burn_index)
+    times = np.arange(steps + 1) * delta
+    chi, gap, windows = _windows_from_series(times, np.concatenate(values), burn_index)
     estimate = LyapunovEstimate(
         chi=float(chi),
         spectrum=None,
@@ -219,40 +263,48 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
 def qr_spectrum(gen, horizon, reortho_interval=None):
     """Full exponent spectrum of the auxiliary flow via periodic QR.
 
-    Integrates Gdot = -L(t) G with G(0) = identity, re-factorizing G = QR
-    every ``reortho_interval`` and accumulating log R_ii; exponents are the
-    time averages, sorted ascending.  For autonomous generators the sorted
+    Integrates Gdot = -L(t) G with G(0) = identity in steps of at most
+    ``reortho_interval``, re-factorizing G = QR after each step of a
+    time-dependent flow and after each block of steps of an autonomous one
+    (the same R_ii products, see the module notes), and accumulating log
+    R_ii; exponents are the time averages, sorted ascending.  For autonomous generators the sorted
     spectrum converges to the sorted relaxation rates; one exponent always
     vanishes by trace preservation.
     """
     steps, delta, burn_k = _step_grid(gen, horizon, reortho_interval, "reortho")
     n = gen.dim * gen.dim
-    autonomous = not gen.time_dependent
-    if autonomous:
-        prop = scipy.linalg.expm(-delta * genmod.reshape(gen))
-    else:
+    # snapshots for burn-in removal and the convergence diagnostics
+    snap_at = {burn_k} | {max(1, int(round(f * steps))) for f in (0.5, 0.75)}
+    if gen.time_dependent:
         parts = genmod.superop_parts(gen)
         norms = np.linalg.norm(parts.at(np.linspace(0.0, horizon, 65)), axis=(1, 2))
         substeps = max(4, int(np.ceil(delta * max(float(np.max(norms)), 1e-12) * 50.0)))
+        block = 1
+    else:
+        powers = _block_powers(genmod.reshape(gen), delta, steps)
+        block = len(powers)
 
     q = np.eye(n, dtype=complex)
     acc = np.zeros(n)
-    # snapshots for burn-in removal and the convergence diagnostics
-    snap_at = sorted({burn_k} | {max(1, int(round(f * steps))) for f in (0.5, 0.75)})
     snaps = {}
-    top_series_t = [0.0]
-    top_series_v = [0.0]
-    for k in range(1, steps + 1):
-        z = prop @ q if autonomous else parts.flow(q, (k - 1) * delta, k * delta, substeps, -1.0)
+    top_series = [np.zeros(1)]
+    start = 0
+    for end in _block_ends(steps, block, snap_at):
+        if gen.time_dependent:
+            z = parts.flow(q, start * delta, end * delta, substeps, -1.0)
+        else:
+            z = powers[end - start - 1] @ q
+            # the first column evolves alone: its norm after each step is R_11
+            top = acc[0] + np.log(np.linalg.norm(powers[: end - start] @ q[:, 0], axis=1))
         try:
             q, r = qr(z)
         except RankDeficientError as exc:
-            raise RankDeficientError(f"flow collapsed at t={k * delta:.6g}: {exc}") from exc
+            raise RankDeficientError(f"flow collapsed at t={end * delta:.6g}: {exc}") from exc
         acc = acc + np.log(np.diagonal(r).real)
-        if k in snap_at:
-            snaps[k] = acc.copy()
-        top_series_t.append(k * delta)
-        top_series_v.append(float(acc[0]))
+        if end in snap_at:
+            snaps[end] = acc.copy()
+        top_series.append(acc[:1] if gen.time_dependent else top)
+        start = end
 
     # discard the flag-locking transient: exponents are averaged over the
     # post-burn-in window, which removes the O(1/horizon) bias
@@ -269,7 +321,7 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     )
 
     _, _, windows = _windows_from_series(
-        np.array(top_series_t), np.array(top_series_v), burn_k
+        np.arange(steps + 1) * delta, np.concatenate(top_series), burn_k
     )
     estimate = LyapunovEstimate(
         chi=float(np.max(exponents)),

@@ -269,11 +269,12 @@ def test_sweep_bad_dim(capsys):
         ["classical", "--rates", "1,2, "],
         ["analyze", tempfile.gettempdir()],
         ["analyze", "dephasing", "--json", tempfile.gettempdir()],
+        ["lyapunov", "dephasing", "--csv", tempfile.gettempdir()],
     ],
     ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
          "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf", "rates-empty", "rates-inf",
          "horizon-huge", "rates-empty-field", "rates-blank-trailing-field",
-         "input-directory", "output-directory"],
+         "input-directory", "output-directory", "csv-directory"],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
@@ -282,6 +283,9 @@ def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert len(err) < 200
+    # a path the user gave is named as given, never a temp file beside it
+    assert ".tmp-" not in err
+    assert all(arg in err for arg in argv if os.path.isdir(arg))
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,18 @@ def test_assembly_splits_time_dependent_channels():
     assert autonomous.at(5.0) is autonomous.static
 
 
+@pytest.mark.parametrize("name", witness.PRESET_NAMES)
+def test_superop_parts_scalar_and_array_times_agree_exactly(name):
+    parts = g.superop_parts(witness.preset(name))
+    assert parts.stack.dtype == complex
+    times = np.array([0.0, 0.3, 1.7, 25.0])
+    stacked = parts.at(times)
+    assert stacked.shape == (len(times),) + parts.static.shape
+    for t, frozen in zip(times, stacked):
+        assert np.array_equal(parts.at(float(t)), frozen)
+        assert np.array_equal(g.reshape(witness.preset(name), float(t)), frozen)
+
+
 # ---------------------------------------------------------------------------
 # gks_decompose / canonicalize
 # ---------------------------------------------------------------------------
