@@ -443,13 +443,16 @@ def canonical_rates(gen, times):
     """Canonical rates of the generator frozen at each of ``times``, one row per time.
 
     Canonical channels report their evaluated rates directly; otherwise the
-    rates are the Kossakowski eigenvalues of each frozen snapshot, which
-    keeps the row length d^2 - 1 at every time (nothing is pruned).
+    rates are the eigenvalues of the Kossakowski matrix
+    C(t) = sum_l gamma_l(t) c_l c_l^+ over the Gell-Mann basis, with
+    c_lk = Tr(F_k L_l) (the identity part of L_l only shifts H), which keeps
+    the row length d^2 - 1 at every time (nothing is pruned).
     """
+    gammas = np.array([gen.rates_at(t) for t in times])
     if is_canonical(gen):
-        return np.array([gen.rates_at(t) for t in times])
-    kossakowski = (gks_decompose(reshape(freeze(gen, t)))[1] for t in times)
-    return np.array([np.linalg.eigvalsh(c) for c in kossakowski])
+        return gammas
+    coeffs = np.einsum("kab,lba->lk", gell_mann_basis(gen.dim), gen.ops)
+    return np.linalg.eigvalsh(np.einsum("tl,lk,lj->tkj", gammas, coeffs, coeffs.conj()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ QR-factorized once per block.  k keeps exp(k delta (mu_2(L) + mu_2(-L))),
 a bound on the column spread of a block product for any L, at most 1e4;
 blocks also end at the burn-in and convergence snapshots.  A time-dependent
 flow takes one RK4 segment and one QR per step.
+
+Both estimators converge by one rule: the rates over the last half and the
+last quarter of the run (the whole exponent vectors in QR) disagree by at
+most CONVERGENCE_TOL relative to the larger of them or to SPECTRAL_TOL,
+whichever is larger, so that exponents that are zero to rounding agree.
+A step delta must resolve the flow: eps/delta, the rounding that one step
+adds per unit time, may not exceed SPECTRAL_TOL * max(1, ||L||_F), with
+||L||_F the Frobenius norm of the reshaped generator (its largest of 65
+samples over the horizon when time-dependent); shorter steps are rejected.
 """
 
 from dataclasses import dataclass
@@ -52,6 +61,10 @@ _MAX_STEPS = 10_000_000
 _MAX_SPREAD = 1e4
 # longest block; at d = 10 the stack of propagator powers is then at most 10 MB
 _BLOCK_CAP = 64
+# floor of a norm under a log or in a denominator: a zero norm gives a finite log
+_TINY = 1e-300
+# sets the QR estimate's relative accuracy in the bound checks; not a verdict level
+_BOUND_ACCURACY = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +123,25 @@ def _step_grid(gen, horizon, interval, name):
     return steps, horizon / steps, max(1, int(round(0.2 * steps)))
 
 
+def _check_resolution(delta, opnorm, name):
+    """Reject a step so short that rounding in one step, about eps, exceeds
+    SPECTRAL_TOL * max(1, ||L||_F) per unit time: the log growth of such steps
+    rounds away, and the estimate would read its rounding."""
+    rounding = np.finfo(float).eps / delta
+    if rounding > SPECTRAL_TOL * max(1.0, opnorm):
+        raise ValueError(
+            f"{name} step {delta:.3g} is too short: rounding of {rounding:.2e} per unit time "
+            f"exceeds {SPECTRAL_TOL:g} * max(1, ||L||_F = {opnorm:.3g})"
+        )
+
+
+def _disagreement(late, later):
+    """max|late - later| / max(max|late|, max|later|, SPECTRAL_TOL) of two window rates
+    or exponent vectors; the floor lets exponents that are zero to rounding agree."""
+    scale = max(np.max(np.abs(late)), np.max(np.abs(later)), SPECTRAL_TOL)
+    return float(np.max(np.abs(late - later)) / scale)
+
+
 def _windows_from_series(times, values, burn_index):
     """Dyadic window rates on [burn, end] plus the sup and gap diagnostics.
 
@@ -117,9 +149,9 @@ def _windows_from_series(times, values, burn_index):
     nested post-burn-in dyadic windows [burn, b_j]; short disjoint windows
     would amplify the oscillation of complex dominant pairs, the nested
     family averages it out while still realizing a lim sup numerically.
+    The gap compares the rates over the last half and the last quarter.
     """
     last = len(times) - 1
-    burn_index = min(burn_index, last - 1) if last > 0 else 0
 
     def rate(a, b):
         return (values[b] - values[a]) / (times[b] - times[a])
@@ -132,23 +164,13 @@ def _windows_from_series(times, values, burn_index):
     if bounds[-1] != last:
         bounds.append(last)
 
-    windows = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        windows.append(
-            (float(times[a]), rate(a, b), rate(burn_index, b))
-        )
-    if not windows:
-        windows = [(float(times[0]), 0.0, 0.0)]
-        chi = 0.0
-    else:
-        chi = max(w[2] for w in windows)
-
+    windows = tuple(
+        (float(times[a]), rate(a, b), rate(burn_index, b)) for a, b in zip(bounds[:-1], bounds[1:])
+    )
+    chi = max(w[2] for w in windows)
     half = last - max(1, (last - burn_index) // 2)
     quarter = last - max(1, (last - burn_index) // 4)
-    r_half = rate(half, last) if last > half else 0.0
-    r_quarter = rate(quarter, last) if last > quarter else 0.0
-    gap = abs(r_half - r_quarter) / max(abs(r_half), abs(r_quarter), 1e-12)
-    return chi, gap, tuple(windows)
+    return chi, _disagreement(rate(half, last), rate(quarter, last)), windows
 
 
 def _population_norm(vs, d, kind):
@@ -203,6 +225,8 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     if gen.time_dependent:
         raise TimeDependentError("backward estimation requires an autonomous generator")
     steps, delta, burn_index = _step_grid(gen, horizon, renorm_interval, "renorm")
+    superop = genmod.reshape(gen)
+    _check_resolution(delta, float(np.linalg.norm(superop)), "renorm")
 
     spectrum = spectra.relaxation_spectrum(gen)
     gamma_max = float(spectrum.rates[-1])
@@ -214,7 +238,7 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
     rnorm = float(np.linalg.norm(rho0))
     best = max(
         abs(hs_inner(spectrum.left_ops[l], rho0))
-        / max(1e-300, float(np.linalg.norm(spectrum.left_ops[l])) * rnorm)
+        / max(_TINY, float(np.linalg.norm(spectrum.left_ops[l])) * rnorm)
         for l in dominant
     )
     if best <= SPECTRAL_TOL:
@@ -222,13 +246,13 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
             f"overlap with the dominant left mode is {best:.2e}"
         )
 
-    powers = _block_powers(genmod.reshape(gen), delta, steps)
+    powers = _block_powers(superop, delta, steps)
     d = gen.dim
 
     v = genmod.vec(rho0)
     v = v / np.linalg.norm(v)
     logsum = 0.0
-    values = [np.log(np.maximum(_population_norm(v[np.newaxis], d, norm), 1e-300))]
+    values = [np.log(np.maximum(_population_norm(v[np.newaxis], d, norm), _TINY))]
     start = 0
     for end in _block_ends(steps, len(powers), ()):
         # the state after each step of the block, renormalized only at its end
@@ -236,7 +260,7 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
         growth = np.linalg.norm(vs, axis=1)
         vs = vs / growth[:, np.newaxis]
         logs = logsum + np.log(growth)
-        values.append(logs + np.log(np.maximum(_population_norm(vs, d, norm), 1e-300)))
+        values.append(logs + np.log(np.maximum(_population_norm(vs, d, norm), _TINY)))
         logsum, v, start = logs[-1], vs[-1], end
 
     times = np.arange(steps + 1) * delta
@@ -274,15 +298,20 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     steps, delta, burn_k = _step_grid(gen, horizon, reortho_interval, "reortho")
     n = gen.dim * gen.dim
     # snapshots for burn-in removal and the convergence diagnostics
-    snap_at = {burn_k} | {max(1, int(round(f * steps))) for f in (0.5, 0.75)}
+    half_idx, quarter_idx = int(round(0.5 * steps)), int(round(0.75 * steps))
+    snap_at = {burn_k, half_idx, quarter_idx}
     if gen.time_dependent:
         parts = genmod.superop_parts(gen)
-        norms = np.linalg.norm(parts.at(np.linspace(0.0, horizon, 65)), axis=(1, 2))
-        substeps = max(4, int(np.ceil(delta * max(float(np.max(norms)), 1e-12) * 50.0)))
+        samples = parts.at(np.linspace(0.0, horizon, 65))
+        opnorm = float(np.max(np.linalg.norm(samples, axis=(1, 2))))
+        substeps = max(4, int(np.ceil(delta * opnorm * 50.0)))
         block = 1
     else:
-        powers = _block_powers(genmod.reshape(gen), delta, steps)
+        superop = genmod.reshape(gen)
+        opnorm = float(np.linalg.norm(superop))
+        powers = _block_powers(superop, delta, steps)
         block = len(powers)
+    _check_resolution(delta, opnorm, "reortho")
 
     q = np.eye(n, dtype=complex)
     acc = np.zeros(n)
@@ -309,16 +338,9 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     # discard the flag-locking transient: exponents are averaged over the
     # post-burn-in window, which removes the O(1/horizon) bias
     exponents = (acc - snaps[burn_k]) / ((steps - burn_k) * delta)
-    half_idx = max(burn_k, int(round(0.5 * steps)))
-    quarter_idx = max(half_idx, int(round(0.75 * steps)))
-    chi_half = (acc - snaps.get(half_idx, snaps[burn_k])) / max((steps - half_idx) * delta, delta)
-    chi_quarter = (acc - snaps.get(quarter_idx, snaps[burn_k])) / max(
-        (steps - quarter_idx) * delta, delta
-    )
-    gap = float(
-        np.max(np.abs(chi_half - chi_quarter))
-        / max(np.max(np.abs(chi_half)), np.max(np.abs(chi_quarter)), 1e-12)
-    )
+    chi_half = (acc - snaps[half_idx]) / ((steps - half_idx) * delta)
+    chi_quarter = (acc - snaps[quarter_idx]) / ((steps - quarter_idx) * delta)
+    gap = _disagreement(chi_half, chi_quarter)
 
     _, _, windows = _windows_from_series(
         np.arange(steps + 1) * delta, np.concatenate(top_series), burn_k
@@ -359,7 +381,7 @@ def divisibility_bounds(gen, horizon):
     correction_sup = float(np.max(corr))
     correction_mean = float(np.trapezoid(corr, ts) / horizon)
 
-    tol = max(1e-6, 2.0 * estimate.convergence_gap) * max(1.0, abs(chi_max))
+    tol = max(_BOUND_ACCURACY, 2.0 * estimate.convergence_gap) * max(1.0, abs(chi_max))
     return DivisibilityReport(
         chi_max=chi_max,
         rhs_cp=rhs_cp,

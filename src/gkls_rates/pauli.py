@@ -29,7 +29,7 @@ from .errors import (
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian, rk4
+from .matcore import EXACT_TOL, INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian, rk4
 
 __all__ = [
     "Trajectory",
@@ -97,7 +97,7 @@ def _integrate_segment(parts, v, a, b):
     if span == 0.0:
         return v
     norms = np.linalg.norm(parts.at(np.array([a, b, (a + b) / 2.0])), axis=(1, 2))
-    n = max(2, int(np.ceil(span * max(float(np.max(norms)), 1e-12) * 0.5)))
+    n = max(2, int(np.ceil(span * float(np.max(norms)) * 0.5)))
     if n > _MAX_SEGMENT_STEPS:
         raise StepSizeUnderflowError(
             f"segment [{a}, {b}] needs ~{n} steps, above the budget {_MAX_SEGMENT_STEPS}"
@@ -150,9 +150,6 @@ def evolve(gen, rho0, grid):
 # eigen-tracking
 # ---------------------------------------------------------------------------
 
-_DEGENERACY_GAP = 1e-12
-
-
 def _fix_column_phases(frame):
     out = frame.copy()
     for j in range(out.shape[1]):
@@ -168,7 +165,7 @@ def _degenerate_clusters(values):
     clusters = []
     start = 0
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] > _DEGENERACY_GAP:
+        if values[i] - values[i - 1] > EXACT_TOL:
             clusters.append(range(start, i))
             start = i
     clusters.append(range(start, len(values)))

@@ -162,10 +162,10 @@ def stationary_state(spectrum):
     """Unique stationary state from the zero mode of the spectrum."""
     rates = spectrum.rates
     tol = matcore.SPECTRAL_TOL * max(1.0, float(rates[-1]))
+    # |lambda| <= tol implies rate <= tol, so this count covers every zero-like eigenvalue
     count = int(np.sum(rates <= tol))
-    zero_like = np.abs(spectrum.eigenvalues) <= tol
-    if count > 1 or int(np.sum(zero_like)) > 1:
-        raise DegenerateZeroModeError(max(count, int(np.sum(zero_like))))
+    if count > 1:
+        raise DegenerateZeroModeError(count)
     x0 = spectrum.right_ops[0]
     tr = np.trace(x0)
     if abs(tr) < matcore.EXACT_TOL:

@@ -75,7 +75,10 @@ def scan(gen, grid):
 
     Violation intervals are maximal runs of violating grid points, with
     endpoints refined by bisection (margins are continuous in t) to 1e-6
-    time resolution.
+    time resolution.  ``cp_divisible`` holds when no canonical rate on the
+    grid falls below -tol * max(1, max |gamma|), with tol EXACT_TOL for rates
+    given in canonical form and SPECTRAL_TOL for computed Kossakowski
+    eigenvalues.
     """
     grid = matcore.as_grid(grid)
     if grid[0] < 0.0:
@@ -114,7 +117,10 @@ def scan(gen, grid):
         intervals.append((start, end))
         i = j + 1
 
-    cp_divisible = bool(np.all(local_rates >= -matcore.EXACT_TOL))
+    # canonical rates are data as given; Kossakowski eigenvalues carry a solver's rounding
+    level = matcore.EXACT_TOL if genmod.is_canonical(gen) else matcore.SPECTRAL_TOL
+    scale = max(1.0, float(np.max(np.abs(local_rates), initial=0.0)))
+    cp_divisible = bool(np.all(local_rates >= -level * scale))
     return WitnessReport(
         grid=grid,
         local_rates=local_rates,

@@ -198,6 +198,17 @@ def test_lyapunov_zero_generator(tmp_path, capsys):
     assert chi == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["backward", "qr"])
+def test_lyapunov_hamiltonian_only_converges_at_short_horizon(tmp_path, mode, capsys):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    path = write_generator_file(tmp_path / "h.json", g.build((a + a.conj().T) / 2.0, []))
+    code = cli.main(["lyapunov", str(path), "--mode", mode, "--horizon", "0.01"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert abs(float(out.split("chi: ")[1].split()[0])) <= 1e-8
+
+
 def test_lyapunov_unconverged_exit_code_with_partial_csv(tmp_path, capsys):
     csv = tmp_path / "partial.csv"
     code = cli.main(
@@ -270,11 +281,12 @@ def test_sweep_bad_dim(capsys):
         ["analyze", tempfile.gettempdir()],
         ["analyze", "dephasing", "--json", tempfile.gettempdir()],
         ["lyapunov", "dephasing", "--csv", tempfile.gettempdir()],
+        ["lyapunov", "amplitude_damping", "--mode", "qr", "--horizon", "1e-15"],
     ],
     ids=["steps-0", "t1-negative", "horizon-negative", "qr-horizon-0", "horizon-inf",
          "horizon-nan", "qr-horizon-inf", "t0-nan", "t1-inf", "rates-empty", "rates-inf",
          "horizon-huge", "rates-empty-field", "rates-blank-trailing-field",
-         "input-directory", "output-directory", "csv-directory"],
+         "input-directory", "output-directory", "csv-directory", "qr-step-below-rounding"],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
 def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):

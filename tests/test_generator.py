@@ -382,6 +382,31 @@ def test_canonicalize_already_canonical_round_trip():
     assert np.linalg.norm(s1 - s2) <= 1e-8 * np.linalg.norm(s1)
 
 
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_canonical_rates_match_per_point_gks_oracle(d, n, seed, scale):
+    # random operators are neither traceless nor orthogonal; rates mix constants
+    # and expressions of t, some negative
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rates = [
+        f"{scale!r}*({TD_RATES[k % len(TD_RATES)]})" if k % 2 else scale * rng.uniform(-1.0, 1.0)
+        for k in range(n)
+    ]
+    h = rng.standard_normal((d, d))
+    with pytest.warns(UserWarning):
+        gen = g.build(h + h.T, list(zip(rates, ops)))
+    times = np.linspace(0.0, 3.0, 7)
+    got = g.canonical_rates(gen, times)
+    want = canonical_oracle.canonical_rates(gen, times)
+    assert got.shape == want.shape == (len(times), d * d - 1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 def test_gell_mann_basis_orthonormal_traceless():
     for d in (2, 3, 4):
         basis = g.gell_mann_basis(d)

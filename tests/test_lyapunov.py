@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkls_rates import generator as g
-from gkls_rates import lyapunov, spectra, witness
+from gkls_rates import lyapunov, matcore, spectra, witness
 from gkls_rates.errors import (
     NonGenericInitialStateError,
     TimeDependentError,
@@ -166,6 +168,51 @@ def test_estimators_reject_bad_interval(estimator, interval):
             lyapunov.max_exponent_backward(gen, COHERENT, horizon=5.0, renorm_interval=interval)
         else:
             lyapunov.qr_spectrum(gen, horizon=5.0, reortho_interval=interval)
+
+
+@pytest.mark.parametrize(
+    "estimator,name",
+    [("backward", "amplitude_damping"), ("qr", "amplitude_damping"), ("qr", "eternal_nm")],
+)
+def test_estimators_reject_steps_below_rounding(estimator, name):
+    # eps / delta above SPECTRAL_TOL * max(1, ||L||_F): the log growth of each
+    # step would round away (QR once read chi = 1.776 for Gamma_max = 1 here)
+    gen = witness.preset(name)
+
+    def run(horizon):
+        if estimator == "backward":
+            return lyapunov.max_exponent_backward(gen, COHERENT, horizon=horizon)
+        return lyapunov.qr_spectrum(gen, horizon=horizon)
+
+    with pytest.raises(ValueError, match="step 1.25e-16 is too short"):
+        run(1e-15)
+    run(1e-6)
+
+
+@given(
+    kind=st.sampled_from(["hamiltonian", "tiny_rates"]),
+    d=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0]),
+    estimator=st.sampled_from(["backward", "qr"]),
+)
+def test_isometric_flows_converge_to_zero_exponents(kind, d, seed, horizon, estimator):
+    # Hamiltonian-only flows, or CP rates scaled by 1e-10, are isometric to
+    # rounding: their exponents vanish and no window gap may read the rounding
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "hamiltonian":
+        gen = g.build((a + a.conj().T) / 2.0, [])
+    else:
+        cp = g.random_cp(d, int(rng.integers(1, d * d)), seed)
+        gen = g.build(cp.hamiltonian, [(1e-10 * r, op) for r, op in zip(cp.rates, cp.ops)])
+    if estimator == "backward":
+        rho0 = a @ a.conj().T
+        est = lyapunov.max_exponent_backward(gen, rho0 / np.trace(rho0).real, horizon)
+        exponents = np.array([est.chi])
+    else:
+        exponents = lyapunov.qr_spectrum(gen, horizon).spectrum
+    assert np.max(np.abs(exponents)) <= matcore.SPECTRAL_TOL * max(1.0, np.linalg.norm(g.reshape(gen)))
 
 
 # ---------------------------------------------------------------------------

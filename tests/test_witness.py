@@ -176,6 +176,20 @@ def test_scan_time_dependent_non_canonical_channels():
         assert np.allclose(np.sort(nonzero), np.sort(row_b), atol=1e-10)
 
 
+@pytest.mark.parametrize("rate", [1.0, 1e4, 1e6])
+def test_cp_divisible_reads_no_rounding_at_large_rates(rate):
+    # two non-canonical operators at the same large constant rate, one written
+    # as an expression: the Kossakowski eigenvalues that vanish carry rounding
+    # of order eps * rate, which must not read as a negative rate
+    rng = np.random.default_rng(0)
+    ops = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    with pytest.warns(UserWarning):
+        gen = g.build(np.zeros((3, 3)), [(rate, ops[0]), (f"{rate!r}*(1 + 0*t)", ops[1])])
+    report = witness.scan(gen, np.linspace(0.0, 1.0, 11))
+    assert report.cp_divisible
+    assert np.min(report.local_rates) < 0.0  # the rounding is there to be read
+
+
 def test_scan_cp_divisible_random_time_dependent_never_violates():
     # nonnegative rate expressions keep every frozen generator CP, so the
     # margin stays nonnegative at every grid point
