@@ -77,8 +77,8 @@ def scan(gen, grid):
     endpoints refined by bisection (margins are continuous in t) to 1e-6
     time resolution.  ``cp_divisible`` holds when no canonical rate on the
     grid falls below -tol * max(1, max |gamma|), with tol EXACT_TOL for rates
-    given in canonical form and SPECTRAL_TOL for computed Kossakowski
-    eigenvalues.
+    given in canonical form (data as given) and SPECTRAL_TOL for Kossakowski
+    eigenvalues (which carry a solver's rounding).
     """
     grid = matcore.as_grid(grid)
     if grid[0] < 0.0:
@@ -117,7 +117,6 @@ def scan(gen, grid):
         intervals.append((start, end))
         i = j + 1
 
-    # canonical rates are data as given; Kossakowski eigenvalues carry a solver's rounding
     level = matcore.EXACT_TOL if genmod.is_canonical(gen) else matcore.SPECTRAL_TOL
     scale = max(1.0, float(np.max(np.abs(local_rates), initial=0.0)))
     cp_divisible = bool(np.all(local_rates >= -level * scale))

@@ -176,7 +176,7 @@ def test_estimators_reject_bad_interval(estimator, interval):
 )
 def test_estimators_reject_steps_below_rounding(estimator, name):
     # eps / delta above SPECTRAL_TOL * max(1, ||L||_F): the log growth of each
-    # step would round away (QR once read chi = 1.776 for Gamma_max = 1 here)
+    # step would round away, and QR would read chi = 1.776 for Gamma_max = 1 here
     gen = witness.preset(name)
 
     def run(horizon):
@@ -212,7 +212,8 @@ def test_isometric_flows_converge_to_zero_exponents(kind, d, seed, horizon, esti
         exponents = np.array([est.chi])
     else:
         exponents = lyapunov.qr_spectrum(gen, horizon).spectrum
-    assert np.max(np.abs(exponents)) <= matcore.SPECTRAL_TOL * max(1.0, np.linalg.norm(g.reshape(gen)))
+    scale = max(1.0, float(np.linalg.norm(g.reshape(gen))))
+    assert np.max(np.abs(exponents)) <= matcore.SPECTRAL_TOL * scale
 
 
 # ---------------------------------------------------------------------------
