@@ -1,29 +1,25 @@
-"""Classical Kolmogorov generators and the Lindblad-to-classical reduction.
+"""Classical Kolmogorov generators.
 
 A Kolmogorov generator is a real d x d matrix with nonnegative off-diagonal
 entries and vanishing column sums; it generates a stochastic semigroup
 exp(tK).  Unlike the quantum case there is no constraint among classical
 relaxation rates: ``from_rates`` realizes any nonnegative list as the exact
-spectrum of a valid generator.
+spectrum of a valid generator.  The populations-only reduction of a
+completely positive Lindblad generator in a fixed orthonormal basis is
+``validate(pauli.rate_matrix(canonical, basis).w)``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, pauli
-from .errors import (
-    ColumnSumError,
-    NegativeOffDiagonalError,
-    NegativeRateError,
-    NonOrthonormalBasisError,
-)
+from . import matcore
+from .errors import ColumnSumError, NegativeOffDiagonalError, NegativeRateError
 
 __all__ = [
     "KolmogorovGenerator",
     "validate",
     "from_rates",
-    "lindblad_to_kolmogorov",
     "classical_spectrum",
 ]
 
@@ -77,23 +73,6 @@ def from_rates(rates):
         k[0, j] = rates[j]
         k[j, j] = -rates[j]
     return validate(k)
-
-
-def lindblad_to_kolmogorov(canonical, basis):
-    """Populations-only reduction K_ij = <i| L(|j><j|) |i> in a fixed basis.
-
-    Equals the rate matrix ``pauli.rate_matrix`` in that basis, R_ij -
-    delta_ij sum_k R_kj with R_ij = sum_n gamma_n |<i|L_n|j>|^2, and
-    validates as a Kolmogorov generator for completely positive input.
-    """
-    d = canonical.dim
-    b = np.asarray(basis, dtype=complex)
-    if b.shape != (d, d):
-        raise NonOrthonormalBasisError(f"expected {d} basis vectors of length {d}")
-    gram = b.conj().T @ b
-    if float(np.max(np.abs(gram - np.eye(d)))) > matcore.INPUT_TOL:
-        raise NonOrthonormalBasisError(f"basis vectors are not orthonormal to {matcore.INPUT_TOL}")
-    return validate(pauli.rate_matrix(canonical, b).w)
 
 
 def classical_spectrum(k):

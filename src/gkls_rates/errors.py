@@ -148,10 +148,6 @@ class NonCanonicalGeneratorError(GklsError):
     """Operation requires traceless orthonormal noise operators."""
 
 
-class NegativePopulationsError(GklsError):
-    """Populations not strictly positive; propagator is not stochastic."""
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov estimation
 # ---------------------------------------------------------------------------
@@ -204,10 +200,6 @@ class ColumnSumError(GklsError):
 
 class NegativeRateError(GklsError):
     """Classical rates must be nonnegative."""
-
-
-class NonOrthonormalBasisError(GklsError):
-    """Supplied vectors are not orthonormal."""
 
 
 # ---------------------------------------------------------------------------

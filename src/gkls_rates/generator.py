@@ -63,7 +63,6 @@ __all__ = [
     "build",
     "freeze",
     "apply",
-    "adjoint_apply",
     "reshape",
     "superop_parts",
     "gks_decompose",
@@ -196,31 +195,16 @@ def freeze(gen, t):
 # action on operators
 # ---------------------------------------------------------------------------
 
-def _check_operand(gen, x, name, what):
-    x = matcore.as_matrix(x, name)
-    if x.shape != (gen.dim, gen.dim):
-        raise DimensionMismatchError(f"{what} has shape {x.shape}, expected {(gen.dim,) * 2}")
-    return x
-
-
 def apply(gen, rho, t=0.0):
     """Schroedinger-picture action L(rho) at time ``t``."""
-    rho = _check_operand(gen, rho, "rho", "state")
+    rho = matcore.as_matrix(rho, "rho")
+    if rho.shape != (gen.dim, gen.dim):
+        raise DimensionMismatchError(f"state has shape {rho.shape}, expected {(gen.dim,) * 2}")
     h, l = gen.hamiltonian, gen.ops
     l_dag = l.conj().swapaxes(1, 2)
     ldl = l_dag @ l
     terms = l @ rho @ l_dag - 0.5 * (ldl @ rho + rho @ ldl)
     return -1.0j * (h @ rho - rho @ h) + np.einsum("n,nab->ab", gen.rates_at(t), terms)
-
-
-def adjoint_apply(gen, x, t=0.0):
-    """Heisenberg-picture action L^++(X); satisfies Tr(X L(rho)) = Tr(L^++(X) rho)."""
-    x = _check_operand(gen, x, "x", "operator")
-    h, l = gen.hamiltonian, gen.ops
-    l_dag = l.conj().swapaxes(1, 2)
-    ldl = l_dag @ l
-    terms = l_dag @ x @ l - 0.5 * (ldl @ x + x @ ldl)
-    return 1.0j * (h @ x - x @ h) + np.einsum("n,nab->ab", gen.rates_at(t), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Two estimators are provided.  The backward estimator integrates the
 auxiliary flow rhodot = -L(t) rho (equivalently the original flow run to
-negative times), renormalizing the population vector and accumulating log
-growth; its limit is the maximal relaxation rate.  The QR estimator
+negative times) from vec(rho0), renormalizing the state and accumulating
+the log growth of its 2-norm; its limit is the maximal relaxation rate.
+It is the first column of the QR flow started from another vector, so both
+read that series through one helper.  The QR estimator
 factorizes the full d^2 x d^2 flow into unitary times upper-triangular and
 time-averages the log growth of the triangular diagonal, recovering the
 whole exponent spectrum.  For completely positive evolution the exponents
@@ -61,7 +63,7 @@ _MAX_STEPS = 10_000_000
 _MAX_SPREAD = 1e4
 # longest block; at d = 10 the stack of propagator powers is then at most 10 MB
 _BLOCK_CAP = 64
-# floor of a norm under a log or in a denominator: a zero norm gives a finite log
+# floor of a norm product in a denominator
 _TINY = 1e-300
 # sets the QR estimate's relative accuracy in the bound checks; not a verdict level
 _BOUND_ACCURACY = 1e-6
@@ -173,18 +175,6 @@ def _windows_from_series(times, values, burn_index):
     return chi, _disagreement(rate(half, last), rate(quarter, last)), windows
 
 
-def _population_norm(vs, d, kind):
-    """Population norms of the rows of ``vs``, each a vectorized d x d matrix."""
-    if kind == "two":
-        return np.linalg.norm(vs, axis=1)
-    pops = np.linalg.eigvalsh(vs.reshape(-1, d, d))
-    if kind == "one":
-        return np.sum(np.abs(pops), axis=1)
-    if kind == "inf":
-        return np.max(np.abs(pops), axis=1)
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
 def _block_powers(superop, delta, steps):
     """The stack P^1..P^k of the step propagator P = expm(-delta L).
 
@@ -204,6 +194,14 @@ def _block_powers(superop, delta, steps):
     return powers
 
 
+def _log_growth(powers, u, m):
+    """log ||P^i u|| for i = 1..m from the stack of powers, and the unit vector
+    P^m u / ||P^m u||: one block of the top-column series of both estimators."""
+    vs = powers[:m] @ u
+    norms = np.linalg.norm(vs, axis=1)
+    return np.log(norms), vs[-1] / norms[-1]
+
+
 def _block_ends(steps, k, stops):
     """Last step of each block of at most k steps; a block also ends at each of ``stops``."""
     end = 0
@@ -212,15 +210,16 @@ def _block_ends(steps, k, stops):
         yield end
 
 
-def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
-    """Maximal exponent of the backward population flow.
+def max_exponent_backward(gen, rho0, horizon, renorm_interval=None):
+    """Maximal exponent of the backward flow.
 
     Runs the sign-flipped flow forward from ``rho0`` in steps of at most
-    ``renorm_interval`` and records the accumulated log growth of the chosen
-    population norm after each step; the state is renormalized at the end of
-    each block of steps (see the module notes).  The initial state must overlap the dominant left mode; the
-    estimate converges to the largest relaxation rate at a speed set by the
-    spectral gap.
+    ``renorm_interval`` and records the accumulated log growth of the
+    Hilbert-Schmidt norm of the state after each step; the state is
+    renormalized at the end of each block of steps (see the module notes).
+    The initial state must overlap the dominant left mode; the estimate
+    converges to the largest relaxation rate at a speed set by the spectral
+    gap.
     """
     if gen.time_dependent:
         raise TimeDependentError("backward estimation requires an autonomous generator")
@@ -247,21 +246,14 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
         )
 
     powers = _block_powers(superop, delta, steps)
-    d = gen.dim
 
-    v = genmod.vec(rho0)
-    v = v / np.linalg.norm(v)
-    logsum = 0.0
-    values = [np.log(np.maximum(_population_norm(v[np.newaxis], d, norm), _TINY))]
+    v = genmod.vec(rho0) / rnorm
+    values = [np.zeros(1)]
     start = 0
     for end in _block_ends(steps, len(powers), ()):
-        # the state after each step of the block, renormalized only at its end
-        vs = powers[: end - start] @ v
-        growth = np.linalg.norm(vs, axis=1)
-        vs = vs / growth[:, np.newaxis]
-        logs = logsum + np.log(growth)
-        values.append(logs + np.log(np.maximum(_population_norm(vs, d, norm), _TINY)))
-        logsum, v, start = logs[-1], vs[-1], end
+        logs, v = _log_growth(powers, v, end - start)
+        values.append(values[-1][-1] + logs)
+        start = end
 
     times = np.arange(steps + 1) * delta
     chi, gap, windows = _windows_from_series(times, np.concatenate(values), burn_index)
@@ -324,7 +316,7 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
         else:
             z = powers[end - start - 1] @ q
             # the first column evolves alone: its norm after each step is R_11
-            top = acc[0] + np.log(np.linalg.norm(powers[: end - start] @ q[:, 0], axis=1))
+            top = acc[0] + _log_growth(powers, q[:, 0], end - start)[0]
         try:
             q, r = qr(z)
         except RankDeficientError as exc:

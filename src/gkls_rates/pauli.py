@@ -10,7 +10,9 @@ continuously in t, the populations close on themselves:
 with nonnegative R for completely positive generators.  The row-sum norm
 obeys ||W(t)||_inf <= sum_n gamma_n at every time and in every frame, which
 is the mechanism behind the universal rate bound.  ``rate_matrix`` gives W
-in any frame; states and tracked frames are (n_times, d, d) stacks.
+in any frame; in a fixed basis it is the Kolmogorov generator of the
+populations (see ``classical``).  States and tracked frames are
+(n_times, d, d) stacks.
 """
 
 from dataclasses import dataclass
@@ -23,13 +25,12 @@ from . import generator as genmod
 from .errors import (
     BoundaryIndexError,
     DimensionMismatchError,
-    NegativePopulationsError,
     NonCanonicalGeneratorError,
     StepSizeUnderflowError,
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import EXACT_TOL, INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian, rk4
+from .matcore import EXACT_TOL, INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian
 
 __all__ = [
     "Trajectory",
@@ -41,7 +42,6 @@ __all__ = [
     "teich_mahler",
     "pauli_residual",
     "w_quantity",
-    "classical_propagator",
     "export_track_csv",
 ]
 
@@ -278,27 +278,6 @@ def w_quantity(canonical, track, k):
     gen = _require_canonical(canonical)
     m2 = _frame_weights(gen, track.frames[k])
     return m2.sum(axis=1) + m2.sum(axis=2) - 2.0 * np.diagonal(m2, axis1=1, axis2=2)
-
-
-def classical_propagator(canonical, track, j, k):
-    """Propagator F(t_k, t_j) of pdot = W(t) p along the tracked grid.
-
-    Integrates from the identity with RK4, interpolating W linearly between
-    grid samples; column sums are preserved exactly.  Requires strictly
-    positive populations on the window (the forward stochastic regime).
-    """
-    if not 0 <= j <= k < len(track.grid):
-        raise IndexError(f"invalid window [{j}, {k}]")
-    if np.any(track.populations[j : k + 1] <= 0.0):
-        raise NegativePopulationsError(
-            "populations are not strictly positive on the window"
-        )
-    ws = [teich_mahler(canonical, track, m).w for m in range(j, k + 1)]
-    f = np.eye(track.populations.shape[1])
-    for w0, w1, h in zip(ws, ws[1:], np.diff(track.grid[j : k + 1])):
-        # one step with W linearly interpolated between two grid samples
-        f = rk4(np.array([w0, (w0 + w1) / 2.0, w1]), f, float(h))
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import RateEvalError, RateSyntaxError, UnknownFunctionError
 
-__all__ = ["RateExpr", "parse", "evaluate", "to_string", "FUNCTIONS"]
+__all__ = ["RateExpr", "parse", "evaluate", "FUNCTIONS"]
 
 FUNCTIONS = {
     "tanh": math.tanh,
@@ -64,9 +64,6 @@ class RateExpr:
     """Parsed rate expression; immutable and safe to evaluate concurrently."""
 
     ast: object
-
-    def __call__(self, t):
-        return evaluate(self, t)
 
 
 # ---------------------------------------------------------------------------
@@ -268,48 +265,3 @@ def evaluate(expr, t):
         raise RateEvalError("t", (t,))
     return _eval_node(expr.ast, float(t))
 
-
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def _node_bp(node):
-    if isinstance(node, (Num, TimeVar, Call)):
-        return 100
-    if isinstance(node, Neg):
-        return _PREFIX_BP
-    if isinstance(node, BinOp):
-        return _Parser.infix_bp(_Token(node.op, node.op, 0))
-    raise TypeError(f"unexpected AST node {node!r}")
-
-
-def _print_node(node):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, TimeVar):
-        return "t"
-    if isinstance(node, Neg):
-        inner = _print_node(node.operand)
-        if _node_bp(node.operand) < _PREFIX_BP:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.name}({_print_node(node.arg)})"
-    if isinstance(node, BinOp):
-        bp = _node_bp(node)
-        left = _print_node(node.left)
-        right = _print_node(node.right)
-        # left operand needs parens when weaker, or equal for the right-assoc ^
-        if _node_bp(node.left) < bp or (node.op == "^" and _node_bp(node.left) == bp):
-            left = f"({left})"
-        # right operand needs parens when weaker, or equal for left-assoc ops
-        right_bp = _node_bp(node.right)
-        if right_bp < bp or (node.op != "^" and right_bp == bp):
-            right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-    raise TypeError(f"unexpected AST node {node!r}")
-
-
-def to_string(expr):
-    """Render back to source; parse(to_string(e)) reproduces the AST."""
-    return _print_node(expr.ast)

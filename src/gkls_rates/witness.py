@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generator as genmod
-from . import matcore, ratelang, spectra
+from . import matcore, spectra
 from .errors import UnknownPresetError, ZeroRateError
 
 __all__ = [
     "WitnessReport",
-    "local_spectrum",
     "scan",
     "qubit_tt_check",
     "qubit_generator",
@@ -60,13 +59,9 @@ class WitnessReport:
         }
 
 
-def local_spectrum(gen, t):
-    """Relaxation spectrum of the generator frozen at time ``t``."""
-    return spectra.relaxation_spectrum(genmod.freeze(gen, t))
-
-
 def _bound_at(gen, t):
-    spec = local_spectrum(gen, t)
+    """Relaxation rates and bound report of the generator frozen at time ``t``."""
+    spec = spectra.relaxation_spectrum(genmod.freeze(gen, t))
     return spec.rates, spectra.check_bound(spec, gen.dim)
 
 
@@ -130,35 +125,23 @@ def scan(gen, grid):
     )
 
 
-def _as_rate_fn(rate):
-    if isinstance(rate, ratelang.RateExpr):
-        return rate
-    if isinstance(rate, str):
-        return ratelang.parse(rate)
-    if callable(rate):
-        return rate
-    value = float(rate)
-    return lambda t: value
-
-
 def qubit_tt_check(gamma_plus, gamma_minus, gamma_z, grid):
     """Per-time flag of the relaxation-time inequality 2 T_L >= T_T.
 
-    Inputs may be numbers, expression strings, parsed expressions, or
-    callables of t.  Both local rates must be positive on the grid for the
-    relaxation times to be defined.
+    Rates are what ``qubit_generator`` accepts: numbers, expression strings
+    or parsed expressions; the grid is checked by ``matcore.as_grid``.  Both
+    local rates must be positive on the grid for the relaxation times to be
+    defined.
     """
-    fns = [_as_rate_fn(g) for g in (gamma_plus, gamma_minus, gamma_z)]
-    grid = np.asarray(grid, dtype=float)
-    flags = np.empty(len(grid), dtype=bool)
-    for i, t in enumerate(grid):
-        gp, gm, gz = (float(fn(t)) for fn in fns)
-        gamma_l, gamma_t = spectra.qubit_rates(gp, gm, gz)
-        if gamma_l <= 0.0 or gamma_t <= 0.0:
-            raise ZeroRateError(f"relaxation times undefined at t={t}: "
-                                f"Gamma_L={gamma_l}, Gamma_T={gamma_t}")
-        flags[i] = bool(2.0 * gamma_t >= gamma_l - matcore.INPUT_TOL)
-    return flags
+    grid = matcore.as_grid(grid)
+    gen = qubit_generator(gamma_plus, gamma_minus, gamma_z)
+    gamma_l, gamma_t = spectra.qubit_rates(*genmod.canonical_rates(gen, grid).T)
+    undefined = np.flatnonzero((gamma_l <= 0.0) | (gamma_t <= 0.0))
+    if undefined.size:
+        i = undefined[0]
+        raise ZeroRateError(f"relaxation times undefined at t={grid[i]}: "
+                            f"Gamma_L={gamma_l[i]}, Gamma_T={gamma_t[i]}")
+    return 2.0 * gamma_t >= gamma_l - matcore.INPUT_TOL
 
 
 # ---------------------------------------------------------------------------

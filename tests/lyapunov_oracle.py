@@ -16,24 +16,14 @@ from gkls_rates.errors import (
 from gkls_rates.lyapunov import (
     CONVERGENCE_TOL,
     LyapunovEstimate,
+    _disagreement,
     _step_grid,
     _windows_from_series,
 )
 from gkls_rates.matcore import SPECTRAL_TOL, hs_inner, qr
 
 
-def _population_norm(v, d, kind):
-    if kind == "two":
-        return float(np.linalg.norm(v))
-    pops = np.linalg.eigvalsh(genmod.unvec(v, d))
-    if kind == "one":
-        return float(np.sum(np.abs(pops)))
-    if kind == "inf":
-        return float(np.max(np.abs(pops)))
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
+def max_exponent_backward(gen, rho0, horizon, renorm_interval=None):
     if gen.time_dependent:
         raise TimeDependentError("backward estimation requires an autonomous generator")
     steps, delta, burn_index = _step_grid(gen, horizon, renorm_interval, "renorm")
@@ -57,20 +47,19 @@ def max_exponent_backward(gen, rho0, horizon, renorm_interval=None, norm="two"):
         )
 
     prop = scipy.linalg.expm(-delta * genmod.reshape(gen))
-    d = gen.dim
 
     v = genmod.vec(rho0)
     v = v / np.linalg.norm(v)
     logsum = 0.0
     times = [0.0]
-    values = [np.log(max(_population_norm(v, d, norm), 1e-300))]
+    values = [0.0]
     for k in range(1, steps + 1):
         v = prop @ v
         growth = float(np.linalg.norm(v))
         logsum += np.log(growth)
         v = v / growth
         times.append(k * delta)
-        values.append(logsum + np.log(max(_population_norm(v, d, norm), 1e-300)))
+        values.append(logsum)
 
     chi, gap, windows = _windows_from_series(np.array(times), np.array(values), burn_index)
     estimate = LyapunovEstimate(
@@ -131,10 +120,7 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     chi_quarter = (acc - snaps.get(quarter_idx, snaps[burn_k])) / max(
         (steps - quarter_idx) * delta, delta
     )
-    gap = float(
-        np.max(np.abs(chi_half - chi_quarter))
-        / max(np.max(np.abs(chi_half)), np.max(np.abs(chi_quarter)), 1e-12)
-    )
+    gap = _disagreement(chi_half, chi_quarter)
 
     _, _, windows = _windows_from_series(
         np.array(top_series_t), np.array(top_series_v), burn_k

@@ -66,7 +66,8 @@ def bw_rate_identity(canonical, spectrum, rho_ss=None):
 
 
 def lindblad_to_kolmogorov(canonical, basis):
-    """``classical.lindblad_to_kolmogorov`` entry by entry through ``generator.apply``."""
+    """K_ij = <i| L(|j><j|) |i> in the basis ``basis``, entry by entry through
+    ``generator.apply``: the reduction ``classical.validate(pauli.rate_matrix(...).w)``."""
     d = canonical.dim
     b = np.asarray(basis, dtype=complex)
     k = np.zeros((d, d))

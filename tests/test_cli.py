@@ -5,8 +5,10 @@ import tempfile
 import numpy as np
 import pytest
 
-from gkls_rates import cli, generator as g, witness
+from gkls_rates import cli, generator as g, ratelang, witness
 from gkls_rates.errors import SchemaError
+
+from rate_printer import to_string
 
 
 def write_generator_file(path, gen, label=None):
@@ -32,10 +34,8 @@ def write_generator_file(path, gen, label=None):
 
 
 def cli_rate(rate):
-    from gkls_rates import ratelang
-
     if isinstance(rate, ratelang.RateExpr):
-        return ratelang.to_string(rate)
+        return to_string(rate)
     return float(rate)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gkls_rates import generator as g
 from gkls_rates import lyapunov, spectra, witness
 from gkls_rates.errors import GklsError
+from gkls_rates.matcore import SPECTRAL_TOL
 
 import lyapunov_oracle
 
@@ -56,11 +57,13 @@ def _assert_same_estimate(gen, got, want):
     assert abs(got_est.chi - want_est.chi) <= tol
     if want_est.spectrum is not None:
         assert np.max(np.abs(got_est.spectrum - want_est.spectrum)) <= tol
-    # when the exponent is zero to rounding (Hamiltonian-only flows, or a trace
-    # norm that has not started to grow) the gap divides two rounding noises by
-    # its 1e-12 floor; then only its verdict compares
-    if abs(want_est.chi) > 1e-9:
-        assert abs(got_est.convergence_gap - want_est.convergence_gap) <= tol
+    # both gaps are ``lyapunov._disagreement`` of window rates, relative to the larger
+    # rate or to SPECTRAL_TOL; window rates that agree within tol move the gap by at
+    # most 2 tol / SPECTRAL_TOL when the exponent is zero to rounding (Hamiltonian-only
+    # flows) and the floor is the scale
+    at_floor = abs(want_est.chi) <= 1e-9
+    gap_tol = 2.0 * tol / SPECTRAL_TOL if at_floor else tol
+    assert abs(got_est.convergence_gap - want_est.convergence_gap) <= gap_tol
     assert got_est.burn_in == want_est.burn_in
     got_rows, want_rows = np.array(got_est.windows), np.array(want_est.windows)
     assert got_rows.shape == want_rows.shape
@@ -93,19 +96,16 @@ def test_block_qr_spectrum_matches_per_step_oracle(kind, seed, horizon, interval
     seed=st.integers(0, 2**32 - 1),
     horizon=horizons,
     interval=intervals,
-    norm=st.sampled_from(["one", "two", "inf"]),
 )
-@example(kind="amplitude_damping", seed=0, horizon=60.0, interval=None, norm="one")
-@example(kind="dephasing", seed=1, horizon=5.0, interval=0.05, norm="inf")
-@example(kind="dephasing", seed=378072146, horizon=2.0, interval=None, norm="one")
-def test_block_backward_matches_per_step_oracle(kind, seed, horizon, interval, norm):
+@example(kind="amplitude_damping", seed=0, horizon=60.0, interval=None)
+@example(kind="dephasing", seed=1, horizon=5.0, interval=0.05)
+@example(kind="dephasing", seed=378072146, horizon=2.0, interval=None)
+def test_block_backward_matches_per_step_oracle(kind, seed, horizon, interval):
     gen = _case(kind, seed)
     rho0 = _state(gen, seed)
     args = (gen, rho0, horizon)
-    got = _outcome(lyapunov.max_exponent_backward, *args, renorm_interval=interval, norm=norm)
-    want = _outcome(
-        lyapunov_oracle.max_exponent_backward, *args, renorm_interval=interval, norm=norm
-    )
+    got = _outcome(lyapunov.max_exponent_backward, *args, renorm_interval=interval)
+    want = _outcome(lyapunov_oracle.max_exponent_backward, *args, renorm_interval=interval)
     _assert_same_estimate(gen, got, want)
 
 

@@ -8,7 +8,6 @@ from gkls_rates import generator as g
 from gkls_rates import pauli, spectra, witness
 from gkls_rates.errors import (
     BoundaryIndexError,
-    NegativePopulationsError,
     NonCanonicalGeneratorError,
     StepSizeUnderflowError,
     TrackingLostError,
@@ -353,55 +352,6 @@ def test_w_quantity_rejects_non_canonical():
     )
     with pytest.raises(NonCanonicalGeneratorError):
         pauli.w_quantity(gen, track, 0)
-
-
-# ---------------------------------------------------------------------------
-# classical_propagator
-# ---------------------------------------------------------------------------
-
-def test_propagator_identity_at_equal_indices():
-    gen = witness.preset("amplitude_damping")
-    traj = pauli.evolve(gen, np.diag([0.3, 0.7]).astype(complex), np.linspace(0, 1, 5))
-    track = pauli.spectral_track(traj)
-    f = pauli.classical_propagator(canonical(gen), track, 2, 2)
-    assert np.allclose(f, np.eye(2))
-
-
-def test_propagator_amplitude_damping_closed_form():
-    gen = witness.preset("amplitude_damping")
-    can = canonical(gen)
-    traj = pauli.evolve(gen, np.diag([0.3, 0.7]).astype(complex), np.linspace(0, 0.3, 301))
-    track = pauli.spectral_track(traj)
-    f = pauli.classical_propagator(can, track, 0, 300)
-    dt = 0.3
-    expected = np.array([[1.0, 1 - np.exp(-dt)], [0.0, np.exp(-dt)]])
-    assert np.allclose(f, expected, atol=1e-8)
-    assert np.allclose(f.sum(axis=0), 1.0, atol=1e-8)
-    assert np.min(f) >= -1e-8
-
-
-def test_propagator_divisible(rng):
-    gen = g.random_cp(3, 5, seed=3)
-    can = canonical(gen)
-    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    traj = pauli.evolve(gen, rho0, np.linspace(0, 1, 201))
-    track = pauli.spectral_track(traj)
-    f_full = pauli.classical_propagator(can, track, 0, 200)
-    f_late = pauli.classical_propagator(can, track, 120, 200)
-    f_early = pauli.classical_propagator(can, track, 0, 120)
-    assert np.linalg.norm(f_full - f_late @ f_early) <= 1e-7
-    assert np.allclose(f_full.sum(axis=0), 1.0, atol=1e-8)
-    assert np.min(f_full) >= -1e-8
-
-
-def test_propagator_rejects_negative_populations():
-    gen = witness.preset("amplitude_damping")
-    rho0 = np.array([[0.5, 0.4], [0.4, 0.5]])
-    traj = pauli.evolve(gen, rho0, np.linspace(-2.0, 0.0, 41))
-    track = pauli.spectral_track(traj)
-    assert np.min(track.populations) < 0  # backward evolution left the simplex
-    with pytest.raises(NegativePopulationsError):
-        pauli.classical_propagator(canonical(gen), track, 0, 40)
 
 
 def test_populations_sum_to_one_even_backward():

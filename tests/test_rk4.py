@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkls_rates import generator as g
-from gkls_rates import matcore, pauli, witness
+from gkls_rates import matcore, witness
 
 import rk4_oracle
 
@@ -64,31 +64,3 @@ def test_flow_in_stacks_matches_callback_oracle(sign):
     expected = rk4_oracle.rk4(lambda t, x: sign * (parts.at(t) @ x), v, 0.3, 1.7, n)
     assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
-
-def oracle_propagator(canonical, track, j, k):
-    """``pauli.classical_propagator`` driven by the callback RK4 on the interpolated W."""
-    f = np.eye(track.populations.shape[1])
-    for m in range(j, k):
-        w0 = pauli.teich_mahler(canonical, track, m).w
-        w1 = pauli.teich_mahler(canonical, track, m + 1).w
-        h = float(track.grid[m + 1] - track.grid[m])
-        f = rk4_oracle.rk4(lambda s, p: ((1.0 - s / h) * w0 + (s / h) * w1) @ p, f, 0.0, h, 1)
-    return f
-
-
-@settings(max_examples=25)
-@given(
-    kind=st.sampled_from(RATE_KINDS),
-    seed=st.integers(0, 2**32 - 1),
-    window=st.tuples(st.integers(0, 20), st.integers(0, 20)).map(sorted),
-)
-def test_classical_propagator_matches_callback_oracle(kind, seed, window):
-    gen = time_dependent_case(kind, seed)
-    d = gen.dim
-    rho0 = np.diag(np.arange(1.0, d + 1.0) / (d * (d + 1) / 2.0)).astype(complex)
-    track = pauli.spectral_track(pauli.evolve(gen, rho0, np.linspace(0.0, 1.0, 21)))
-    canonical = g.canonical_form(gen)
-    j, k = window
-    f = pauli.classical_propagator(canonical, track, j, k)
-    expected = oracle_propagator(canonical, track, j, k)
-    assert np.linalg.norm(f - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))

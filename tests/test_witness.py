@@ -40,17 +40,17 @@ def test_paper_qubit_defaults():
 
 
 # ---------------------------------------------------------------------------
-# local_spectrum
+# local spectrum: the relaxation spectrum of the frozen generator
 # ---------------------------------------------------------------------------
 
 def test_local_spectrum_eternal_at_zero():
     gen = witness.preset("eternal_nm")
-    spec = witness.local_spectrum(gen, 0.0)
+    spec = spectra.relaxation_spectrum(g.freeze(gen, 0.0))
     assert np.allclose(spec.rates, [0, 1, 1, 2], atol=1e-10)
 
 
 def test_local_spectrum_eternal_at_one():
-    spec = witness.local_spectrum(witness.preset("eternal_nm"), 1.0)
+    spec = spectra.relaxation_spectrum(g.freeze(witness.preset("eternal_nm"), 1.0))
     gamma_t = 1 - np.tanh(1.0)
     assert spec.rates[1] == pytest.approx(gamma_t, abs=1e-10)
     assert gamma_t == pytest.approx(0.2384, abs=1e-4)
@@ -58,8 +58,8 @@ def test_local_spectrum_eternal_at_one():
 
 def test_local_spectrum_autonomous_constant():
     gen = witness.preset("paper_qubit")
-    a = witness.local_spectrum(gen, 0.0)
-    b = witness.local_spectrum(gen, 5.0)
+    a = spectra.relaxation_spectrum(g.freeze(gen, 0.0))
+    b = spectra.relaxation_spectrum(g.freeze(gen, 5.0))
     assert np.allclose(a.rates, b.rates)
 
 
@@ -146,6 +146,14 @@ def test_tt_check_large_dephasing_true():
 def test_tt_check_zero_rate_raises():
     with pytest.raises(ZeroRateError):
         witness.qubit_tt_check(0.0, 0.0, 0.0, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "grid", [[np.nan], [1.0, 0.5], [[0.0, 1.0]]], ids=["nan", "decreasing", "two-d"]
+)
+def test_tt_check_rejects_a_bad_grid(grid):
+    with pytest.raises(ValueError, match="grid"):
+        witness.qubit_tt_check(1.0, 1.0, 0.0, grid)
 
 
 def test_tt_check_agrees_with_scan_margin_sign():
