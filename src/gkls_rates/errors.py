@@ -21,8 +21,8 @@ class ShapeMismatchError(GklsError):
     """Operands do not have compatible shapes."""
 
 
-class IterationLimitError(GklsError):
-    """Eigenvalue iteration failed to converge."""
+class EigFailureError(GklsError):
+    """An eigendecomposition failed in LAPACK."""
 
 
 class RankDeficientError(GklsError):
@@ -75,14 +75,6 @@ class NonHermitianHamiltonianError(GklsError):
     """Hamiltonian fails the Hermiticity tolerance."""
 
 
-class NotTracePreservingError(GklsError):
-    """Superoperator is not trace preserving."""
-
-
-class NotHermiticityPreservingError(GklsError):
-    """Superoperator does not preserve Hermiticity."""
-
-
 class NonHermitianKossakowskiError(GklsError):
     """Kossakowski matrix fails the Hermiticity tolerance."""
 
@@ -98,10 +90,6 @@ class BadChannelCountError(GklsError):
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
-
-class EigFailureError(GklsError):
-    """Spectral decomposition of the superoperator failed."""
-
 
 class SizeMismatchError(GklsError):
     """Spectrum size inconsistent with the stated dimension."""

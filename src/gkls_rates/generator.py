@@ -11,6 +11,10 @@ operators are time independent.  The canonical form has traceless noise
 operators orthonormal under the Hilbert-Schmidt inner product, which makes
 the rates unique up to degeneracies of the Kossakowski matrix; it is a
 record of the same type, and (1/d) sum_l Gamma_l = sum_k gamma_k on it.
+Both ``canonical_form`` and ``canonical_rates`` reach it from the noise-operator
+coefficients c_lk = Tr(F_k L_l) over the Gell-Mann basis F: the Kossakowski
+matrix is C = sum_l gamma_l c_l c_l^+, and the identity part of each L_l only
+shifts H.
 
 Vectorization is row-major throughout: vec(rho) = rho.reshape(d*d), so the
 Kronecker product A (x) B^T acts as rho -> A rho B.  One assembly builds the
@@ -34,7 +38,6 @@ Every tolerance here is a level of the table in ``matcore``.
 """
 
 import functools
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -47,8 +50,6 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianHamiltonianError,
     NonHermitianKossakowskiError,
-    NotHermiticityPreservingError,
-    NotTracePreservingError,
     TimeDependentError,
 )
 
@@ -65,7 +66,6 @@ __all__ = [
     "apply",
     "reshape",
     "superop_parts",
-    "gks_decompose",
     "canonicalize",
     "canonical_form",
     "is_canonical",
@@ -166,7 +166,7 @@ def build(hamiltonian, channels):
         rates=tuple(rates),
         time_dependent=any(isinstance(r, ratelang.RateExpr) for r in rates),
     )
-    if not is_canonical(gen, tol=matcore.SPECTRAL_TOL):
+    if not is_canonical(gen):
         warnings.warn(
             "channels are not traceless-orthonormal; canonicalize() repairs this",
             stacklevel=2,
@@ -174,14 +174,14 @@ def build(hamiltonian, channels):
     return gen
 
 
-def is_canonical(gen, tol=matcore.INPUT_TOL):
-    """True when all noise operators are traceless and HS-orthonormal."""
+def is_canonical(gen):
+    """True when all noise operators are traceless and HS-orthonormal to INPUT_TOL."""
     n = len(gen.ops)
     flat = gen.ops.reshape(n, gen.dim * gen.dim)
     gram = flat.conj() @ flat.T
     traces = np.trace(gen.ops, axis1=1, axis2=2)
-    traceless = not np.any(np.abs(traces) > tol)
-    return traceless and bool(np.all(np.abs(gram - np.eye(n)) <= tol))
+    traceless = not np.any(np.abs(traces) > matcore.INPUT_TOL)
+    return traceless and bool(np.all(np.abs(gram - np.eye(n)) <= matcore.INPUT_TOL))
 
 
 def freeze(gen, t):
@@ -327,53 +327,14 @@ def gell_mann_basis(d):
 
 
 # ---------------------------------------------------------------------------
-# GKS decomposition and canonical form
+# canonical form
 # ---------------------------------------------------------------------------
 
-def gks_decompose(superop):
-    """Recover (H, Kossakowski matrix, basis) from a reshaped d^2 x d^2 generator.
-
-    The superoperator must preserve trace and Hermiticity to SPECTRAL_TOL.  In
-    the returned convention the generator reads
-
-        L(rho) = -i[H, rho] + sum_{k,l} C_{kl} (F_k rho F_l - 1/2 {F_l F_k, rho})
-
-    over the Hermitian ``gell_mann_basis`` F, with C Hermitian.
-    """
-    s = matcore.as_matrix(superop, "superoperator")
-    d = math.isqrt(s.shape[0])
-    if s.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"superoperator shape {s.shape} is not (d^2, d^2)")
-    snorm = max(1.0, float(np.linalg.norm(s)))
-
-    trace_row = vec(np.eye(d)).conj() @ s
-    if float(np.linalg.norm(trace_row)) > matcore.SPECTRAL_TOL * snorm:
-        raise NotTracePreservingError("Tr functional is not a left null vector")
-
-    # reshuffle S[(i,j),(k,l)] -> R[(i,k),(j,l)]; then R = U c U^+ with the
-    # columns of U the vectorized orthonormal basis elements
-    r = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    basis = gell_mann_basis(d)
-    u = np.column_stack([vec(np.eye(d) / np.sqrt(d)), basis.reshape(-1, d * d).T])
-    c = u.conj().T @ r @ u
-    if float(np.linalg.norm(c - c.conj().T)) > matcore.SPECTRAL_TOL * snorm:
-        raise NotHermiticityPreservingError("process matrix is not Hermitian")
-    c = (c + c.conj().T) / 2.0
-
-    kossakowski = c[1:, 1:]
-    phi = np.einsum("k,kab->ab", c[1:, 0], basis) / np.sqrt(d)
-    phi = phi + (c[0, 0].real / (2.0 * d)) * np.eye(d)
-    h = 1.0j * (phi - phi.conj().T) / 2.0
-    return h, kossakowski, basis
-
-
-def _fix_phase(op):
-    flat = op.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    pivot = flat[idx]
-    if abs(pivot) == 0.0:
-        return op
-    return op * (abs(pivot) / pivot)
+def _kossakowski(gen, gammas):
+    """Kossakowski matrices C = sum_l gamma_l c_l c_l^+ over the Gell-Mann basis F,
+    with c_lk = Tr(F_k L_l), one per row of the rates ``gammas`` (..., n)."""
+    coeffs = np.einsum("kab,lba->lk", gell_mann_basis(gen.dim), gen.ops)
+    return np.einsum("...l,lk,lj->...kj", gammas, coeffs, coeffs.conj())
 
 
 def _canonical_stack(c, basis):
@@ -387,21 +348,22 @@ def _canonical_stack(c, basis):
     return gammas, ops, np.abs(gammas) >= matcore.EXACT_TOL
 
 
-def canonicalize(h, kossakowski, basis=None):
-    """Diagonalize the Kossakowski matrix into the canonical generator.
+def canonicalize(h, kossakowski):
+    """Diagonalize the Kossakowski matrix over the Gell-Mann basis into the
+    canonical generator.
 
     Channels with |gamma| < EXACT_TOL are dropped; each canonical operator has
-    its largest-magnitude entry made real positive so output is
+    its first largest-magnitude entry made real positive so output is
     deterministic.
     """
     h = _hermitian_part(h)
     d = h.shape[0]
-    basis = gell_mann_basis(d) if basis is None else np.asarray(basis, dtype=complex)
-    if basis.shape[1:] != (d, d):
-        raise DimensionMismatchError(f"basis has shape {basis.shape}, expected (n, {d}, {d})")
     c = matcore.as_matrix(kossakowski, "kossakowski")
-    gammas, ops, kept = _canonical_stack(c, basis)
-    ops = np.array([_fix_phase(op) for op in ops[kept]], dtype=complex).reshape(-1, d, d)
+    n = d * d - 1
+    if c.shape != (n, n):
+        raise DimensionMismatchError(f"kossakowski has shape {c.shape}, expected {(n, n)}")
+    gammas, ops, kept = _canonical_stack(c, gell_mann_basis(d))
+    ops = matcore.fix_phases(ops[kept].reshape(-1, d * d)).reshape(-1, d, d)
     return GklsGenerator(d, h, ops, tuple(gammas[kept].tolist()), False)
 
 
@@ -409,8 +371,12 @@ def canonical_form(gen):
     """The canonical generator of ``gen``: ``gen`` itself when its channels already are.
 
     Time-dependent generators must already be canonical (their noise
-    operators are fixed, only rates vary); autonomous others go through
-    ``gks_decompose``.
+    operators are fixed, only rates vary).  Autonomous others go through
+    ``canonicalize`` with the Kossakowski matrix of the operator coefficients
+    (see the module notes); with L_l = alpha_l 1 + A_l and A_l traceless, the
+    identity parts move into H as
+
+        H + (i/2) sum_l gamma_l (conj(alpha_l) A_l - alpha_l A_l^+).
     """
     if is_canonical(gen):
         return gen
@@ -419,24 +385,26 @@ def canonical_form(gen):
             "time-dependent generator with non-canonical channels; "
             "canonicalize a frozen snapshot instead"
         )
-    h, c, basis = gks_decompose(reshape(gen))
-    return canonicalize(h, c, basis)
+    gammas = gen.rates_at()
+    alpha = np.trace(gen.ops, axis1=1, axis2=2) / gen.dim
+    traceless = gen.ops - alpha[:, None, None] * np.eye(gen.dim)
+    shift = np.einsum("l,lab->ab", gammas * alpha.conj(), traceless)
+    h = gen.hamiltonian + 0.5j * (shift - shift.conj().T)
+    return canonicalize(h, _kossakowski(gen, gammas))
 
 
 def canonical_rates(gen, times):
     """Canonical rates of the generator frozen at each of ``times``, one row per time.
 
     Canonical channels report their evaluated rates directly; otherwise the
-    rates are the eigenvalues of the Kossakowski matrix
-    C(t) = sum_l gamma_l(t) c_l c_l^+ over the Gell-Mann basis, with
-    c_lk = Tr(F_k L_l) (the identity part of L_l only shifts H), which keeps
-    the row length d^2 - 1 at every time (nothing is pruned).
+    rates are the eigenvalues of the Kossakowski matrix C(t) of the operator
+    coefficients, which keeps the row length d^2 - 1 at every time (nothing
+    is pruned).
     """
     gammas = np.array([gen.rates_at(t) for t in times])
     if is_canonical(gen):
         return gammas
-    coeffs = np.einsum("kab,lba->lk", gell_mann_basis(gen.dim), gen.ops)
-    return np.linalg.eigvalsh(np.einsum("tl,lk,lj->tkj", gammas, coeffs, coeffs.conj()))
+    return np.linalg.eigvalsh(_kossakowski(gen, gammas))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +470,7 @@ def random_cp(d, n_channels, seed):
 def random_cp_batch(d, n_channels, seeds):
     """Stacked (len(seeds), d^2, d^2) superoperators of ``random_cp(d, n_channels, s)``
     over the seeds s, and the sums of their canonical rates.  The operators skip
-    ``_fix_phase``, which leaves the superoperator unchanged."""
+    the phase fix of ``canonicalize``, which leaves the superoperator unchanged."""
     h, c = map(np.stack, zip(*[_draw_cp(d, n_channels, s) for s in seeds]))
     gammas, ops, kept = _canonical_stack(c, gell_mann_basis(d))
     rates = np.where(kept, gammas, 0.0)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    IterationLimitError,
+    EigFailureError,
     NonSquareError,
     RankDeficientError,
     ShapeMismatchError,
@@ -116,30 +116,29 @@ def eig(m):
     columns are left eigenvectors with left^dagger @ right = identity exactly,
     degenerate clusters included.  Defective inputs keep LAPACK's unit-norm
     left vectors; the condition number flags that vectors are unreliable.
+    Any LAPACK failure raises ``EigFailureError``.
     """
     m = as_matrix(m)
     _require_square(m, "eig")
 
-    if is_hermitian(m, EXACT_TOL):
-        w, v = np.linalg.eigh(m)
-        return EigResult(
-            values=w.astype(complex),
-            right_vectors=v,
-            left_vectors=v.copy(),
-            vector_condition=1.0,
-        )
-
     try:
+        if is_hermitian(m, EXACT_TOL):
+            w, v = np.linalg.eigh(m)
+            return EigResult(
+                values=w.astype(complex),
+                right_vectors=v,
+                left_vectors=v.copy(),
+                vector_condition=1.0,
+            )
         # as_matrix has already rejected non-finite entries
         values, left, right = scipy.linalg.eig(m, left=True, right=True, check_finite=False)
+        cond = float(np.linalg.cond(right))
+        if not np.isfinite(cond):
+            cond = np.inf
+        if cond < DEFECT_THRESHOLD:
+            left = np.linalg.inv(right).conj().T
     except np.linalg.LinAlgError as exc:
-        raise IterationLimitError(f"eigenvalue iteration failed: {exc}") from exc
-
-    cond = float(np.linalg.cond(right))
-    if not np.isfinite(cond):
-        cond = np.inf
-    if cond < DEFECT_THRESHOLD:
-        left = np.linalg.inv(right).conj().T
+        raise EigFailureError(f"eigendecomposition failed: {exc}") from exc
 
     return EigResult(
         values=values,
@@ -156,6 +155,16 @@ def hs_inner(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return complex(np.vdot(a, b))
+
+
+def fix_phases(vectors):
+    """The stack (..., n) with each vector scaled so that its first largest-magnitude
+    entry is real and positive; zero vectors are left as they are."""
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    size = np.abs(pivot)
+    phase = size / np.where(size > 0.0, pivot, 1.0)
+    return vectors * phase.reshape(vectors.shape[:-1] + (1,))
 
 
 def rk4(stages, v, h):

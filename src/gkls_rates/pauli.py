@@ -30,7 +30,7 @@ from .errors import (
     TrackingLostError,
 )
 from .fileio import atomic_write, fmt17
-from .matcore import EXACT_TOL, INPUT_TOL, SPECTRAL_TOL, as_grid, is_hermitian
+from .matcore import EXACT_TOL, INPUT_TOL, SPECTRAL_TOL, as_grid, fix_phases, is_hermitian
 
 __all__ = [
     "Trajectory",
@@ -150,17 +150,6 @@ def evolve(gen, rho0, grid):
 # eigen-tracking
 # ---------------------------------------------------------------------------
 
-def _fix_column_phases(frame):
-    out = frame.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0.0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
 def _degenerate_clusters(values):
     clusters = []
     start = 0
@@ -178,7 +167,7 @@ def spectral_track(traj):
     Columns are matched to the previous frame by maximal overlap (labels
     follow eigenvector continuity, not eigenvalue order); exactly degenerate
     blocks are aligned to the previous frame by orthogonal Procrustes, and
-    phases are fixed by making the largest-magnitude component real
+    phases are fixed by making the first largest-magnitude component real
     positive.  Raises when the best overlap drops below 0.5, which signals a
     grid too coarse to track through.
     """
@@ -206,7 +195,7 @@ def spectral_track(traj):
             worst = float(np.min(np.abs(np.sum(prev.conj() * v, axis=0))))
             if worst < 0.5:
                 raise TrackingLostError(float(t), worst)
-        v = _fix_column_phases(v)
+        v = fix_phases(v.T).T
         populations.append(w.real)
         frames.append(v)
         prev = v
@@ -222,7 +211,7 @@ def spectral_track(traj):
 # ---------------------------------------------------------------------------
 
 def _require_canonical(canonical):
-    if not genmod.is_canonical(canonical, tol=SPECTRAL_TOL):
+    if not genmod.is_canonical(canonical):
         raise NonCanonicalGeneratorError("channels must be traceless-orthonormal")
     return canonical
 

@@ -20,7 +20,6 @@ from . import generator, matcore
 from .errors import (
     DegenerateZeroModeError,
     EigFailureError,
-    IterationLimitError,
     NearDefectiveError,
     NonFaithfulStationaryStateError,
     NonSquareError,
@@ -87,10 +86,7 @@ def relaxation_spectrum(gen):
     """
     if gen.time_dependent:
         raise TimeDependentError("relaxation spectrum requires an autonomous generator")
-    try:
-        res = matcore.eig(generator.reshape(gen))
-    except (IterationLimitError, np.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise EigFailureError(str(exc)) from exc
+    res = matcore.eig(generator.reshape(gen))
 
     rates = -res.values.real
     order = np.lexsort((np.arange(len(rates)), res.values.imag, rates))

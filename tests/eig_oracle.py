@@ -11,7 +11,7 @@ paired LAPACK call; the differential tests compare the two.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from gkls_rates.errors import IterationLimitError
+from gkls_rates.errors import EigFailureError
 from gkls_rates.matcore import (
     DEFECT_THRESHOLD,
     EXACT_TOL,
@@ -77,7 +77,7 @@ def eig(m):
         values, right = np.linalg.eig(m)
         lvalues, left = np.linalg.eig(m.conj().T)
     except np.linalg.LinAlgError as exc:
-        raise IterationLimitError(f"eigenvalue iteration failed: {exc}") from exc
+        raise EigFailureError(f"eigendecomposition failed: {exc}") from exc
 
     cond = float(np.linalg.cond(right))
     if not np.isfinite(cond):

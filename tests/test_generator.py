@@ -10,8 +10,6 @@ from gkls_rates.errors import (
     DimensionMismatchError,
     NonHermitianHamiltonianError,
     NonHermitianKossakowskiError,
-    NotHermiticityPreservingError,
-    NotTracePreservingError,
     TimeDependentError,
 )
 
@@ -61,7 +59,7 @@ def test_build_paper_qubit_channels_canonical():
 PERTURBATIONS = ("none", "trace", "norm", "overlap", "traceful")
 
 
-@example(d=2, n=1, k=0, seed=0, mix=False, kind="trace", scale=1.0, tol=matcore.INPUT_TOL)
+@example(d=2, n=1, k=0, seed=0, mix=False, kind="trace", scale=1.0)
 @given(
     d=st.integers(2, 4),
     n=st.integers(0, 15),
@@ -70,11 +68,10 @@ PERTURBATIONS = ("none", "trace", "norm", "overlap", "traceful")
     mix=st.booleans(),
     kind=st.sampled_from(PERTURBATIONS),
     scale=st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0]),
-    tol=st.sampled_from([matcore.INPUT_TOL, matcore.SPECTRAL_TOL]),
 )
-def test_is_canonical_matches_operator_loop(d, n, k, seed, mix, kind, scale, tol):
+def test_is_canonical_matches_operator_loop(d, n, k, seed, mix, kind, scale):
     # canonical stacks (Gell-Mann rows, or rows mixed by a random unitary), moved
-    # by scale * tol in a trace or a Gram entry, or given an identity part
+    # by scale * INPUT_TOL in a trace or a Gram entry, or given an identity part
     rng = np.random.default_rng(seed)
     ops = np.array(g.gell_mann_basis(d))
     if mix:
@@ -84,7 +81,7 @@ def test_is_canonical_matches_operator_loop(d, n, k, seed, mix, kind, scale, tol
     ops = ops[:n].copy()
     if n:
         k %= n
-        eps = scale * tol
+        eps = scale * matcore.INPUT_TOL
         if kind == "trace":
             ops[k, 0, 0] += eps
         elif kind == "norm":  # the Gram diagonal moves by about eps
@@ -94,7 +91,7 @@ def test_is_canonical_matches_operator_loop(d, n, k, seed, mix, kind, scale, tol
         elif kind == "traceful":
             ops[k] += rng.standard_normal() * np.eye(d)
     gen = g.GklsGenerator(d, np.zeros((d, d), dtype=complex), ops, (1.0,) * n, False)
-    assert g.is_canonical(gen, tol) == canonical_oracle.is_canonical(gen, tol)
+    assert g.is_canonical(gen) == canonical_oracle.is_canonical(gen)
 
 
 def test_build_rejects_non_hermitian_hamiltonian():
@@ -234,10 +231,10 @@ def assembly_case(kind, d, seed):
         return g.build(np.zeros((d, d)), list(zip(rates, basis[-(d - 1):])))
     if kind == "rank1":
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return g.canonicalize(h, np.outer(b, b.conj()), basis)
+        return g.canonicalize(h, np.outer(b, b.conj()))
     if kind == "negative":  # indefinite Kossakowski matrix
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return g.canonicalize(h, (c + c.conj().T) / 2, basis)
+        return g.canonicalize(h, (c + c.conj().T) / 2)
     channels = [
         (TD_RATES[k % len(TD_RATES)] if k % 3 else float(rng.uniform(-1.0, 1.0)), op)
         for k, op in enumerate(basis)
@@ -288,13 +285,13 @@ def test_superop_parts_scalar_and_array_times_agree_exactly(name):
 
 
 # ---------------------------------------------------------------------------
-# gks_decompose / canonicalize
+# the GKS decomposition oracle, canonicalize and canonical_form
 # ---------------------------------------------------------------------------
 
 def test_decompose_round_trip():
     gen = g.random_cp(3, 8, seed=42)
     s = g.reshape(gen)
-    h, c, basis = g.gks_decompose(s)
+    h, c, basis = canonical_oracle.gks_decompose(s)
     rebuilt = kron_oracle.rebuild_superop(h, c, basis)
     err = np.linalg.norm(rebuilt - s) / np.linalg.norm(s)
     assert err <= 1e-8
@@ -303,14 +300,14 @@ def test_decompose_round_trip():
 
 def test_decompose_canonical_input_diagonal_in_own_basis():
     gen = g.random_cp(2, 3, seed=8)
-    h, c, basis = g.gks_decompose(g.reshape(gen))
+    h, c, basis = canonical_oracle.gks_decompose(g.reshape(gen))
     recovered = np.sort(np.linalg.eigvalsh(c))
     expected = np.sort(gen.rates_at())
     assert np.allclose(recovered, expected, atol=1e-10)
 
 
 def test_decompose_zero_superoperator():
-    h, c, _ = g.gks_decompose(np.zeros((4, 4), dtype=complex))
+    h, c, _ = canonical_oracle.gks_decompose(np.zeros((4, 4), dtype=complex))
     assert np.allclose(h, 0.0)
     assert np.allclose(c, 0.0)
 
@@ -319,29 +316,10 @@ def test_decompose_eternal_nm_negative_rate():
     from gkls_rates import witness
 
     frozen = g.freeze(witness.preset("eternal_nm"), 1.0)
-    h, c, _ = g.gks_decompose(g.reshape(frozen))
+    h, c, _ = canonical_oracle.gks_decompose(g.reshape(frozen))
     eigs = np.sort(np.linalg.eigvalsh(c))
     assert eigs[0] == pytest.approx(-np.tanh(1.0), abs=1e-10)
     assert np.allclose(eigs[1:], [1.0, 1.0], atol=1e-10)
-
-
-@pytest.mark.parametrize("n", [3, 5])
-def test_decompose_rejects_shape_that_is_not_d_squared(n):
-    with pytest.raises(DimensionMismatchError):
-        g.gks_decompose(np.zeros((n, n), dtype=complex))
-
-
-def test_decompose_rejects_non_trace_preserving():
-    with pytest.raises(NotTracePreservingError):
-        g.gks_decompose(np.eye(4, dtype=complex))
-
-
-def test_decompose_rejects_non_hermiticity_preserving():
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[1, 1] = 1.0j  # scales the off-diagonal of rho by i, breaking Hermiticity
-    bad[2, 2] = 1.0j
-    with pytest.raises((NotHermiticityPreservingError, NotTracePreservingError)):
-        g.gks_decompose(bad)
 
 
 def test_canonicalize_identity_kossakowski():
@@ -363,8 +341,8 @@ def test_canonicalize_preserves_action(rng, make_density):
     # a non-canonical representation and its canonical form act identically
     with pytest.warns(UserWarning):
         gen = g.build(H0, [(0.4, g.SIGMA_Z), (0.3, g.SIGMA_MINUS)])
-    h, c, basis = g.gks_decompose(g.reshape(gen))
-    can = g.canonicalize(h, c, basis)
+    h, c, _ = canonical_oracle.gks_decompose(g.reshape(gen))
+    can = g.canonicalize(h, c)
     for _ in range(5):
         rho = (lambda a: a / np.trace(a))(
             (lambda m: m @ m.conj().T)(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -374,17 +352,74 @@ def test_canonicalize_preserves_action(rng, make_density):
 
 def test_canonicalize_rejects_non_hermitian():
     with pytest.raises(NonHermitianKossakowskiError):
-        g.canonicalize(H0, np.array([[1.0, 1.0], [0.0, 1.0]]), g.gell_mann_basis(2)[:2])
+        g.canonicalize(H0, np.eye(3) + np.triu(np.ones((3, 3)), 1))
+
+
+def test_canonicalize_rejects_kossakowski_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        g.canonicalize(H0, np.eye(8))
 
 
 def test_canonicalize_already_canonical_round_trip():
     gen = g.random_cp(2, 3, seed=77)
-    h, c, basis = g.gks_decompose(g.reshape(gen))
-    can = g.canonicalize(h, c, basis)
+    h, c, _ = canonical_oracle.gks_decompose(g.reshape(gen))
+    can = g.canonicalize(h, c)
     assert np.allclose(np.sort(can.rates_at()), np.sort(gen.rates_at()), atol=1e-10)
     s1 = g.reshape(gen)
     s2 = g.reshape(can)
     assert np.linalg.norm(s1 - s2) <= 1e-8 * np.linalg.norm(s1)
+
+
+NONCANONICAL_KINDS = ("identity_parts", "traceless", "negative", "rank1", "repeated", "degenerate")
+
+
+def noncanonical_case(kind, d, seed):
+    """Autonomous generator with 1..d^2 + 1 noise operators that are not
+    traceless-orthonormal: random operators (identity parts, random Gram
+    matrix), made traceless, given rates of both signs, cut to one operator
+    (a rank-1 Kossakowski matrix) or one operator repeated; or orthonormal
+    traceless operators plus identity parts at one shared rate, whose
+    Kossakowski matrix has a degenerate spectrum."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (a + a.conj().T) / 2
+    n = int(rng.integers(1, d * d + 2))
+    ops = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rates = rng.uniform(0.1, 2.0, n)
+    if kind == "traceless":
+        ops -= np.trace(ops, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    elif kind == "negative":
+        rates = rng.uniform(-1.0, 2.0, n)
+    elif kind == "rank1":
+        ops, rates = ops[:1], rates[:1]
+    elif kind == "repeated":
+        ops, rates = np.concatenate([ops, ops[:1]]), np.append(rates, rates[0])
+    elif kind == "degenerate":
+        m = d * d - 1
+        b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        ops = np.einsum("kl,kab->lab", np.linalg.qr(b)[0], g.gell_mann_basis(d))[: min(n, m)]
+        ops = ops + rng.standard_normal((len(ops), 1, 1)) * np.eye(d)
+        rates = np.full(len(ops), rates[0])
+    return g.GklsGenerator(d, h, ops, tuple(rates.tolist()), False)
+
+
+@settings(max_examples=100)
+@given(
+    d=st.integers(2, 5),
+    kind=st.sampled_from(NONCANONICAL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_form_matches_gks_oracle(d, kind, seed):
+    gen = noncanonical_case(kind, d, seed)
+    s = g.reshape(gen)
+    got = g.canonical_form(gen)
+    want = g.canonicalize(*canonical_oracle.gks_decompose(s)[:2])
+    assert len(got.rates) == len(want.rates)
+    got_rates, want_rates = np.sort(got.rates_at()), np.sort(want.rates_at())
+    scale = max(1.0, float(np.max(np.abs(want_rates), initial=0.0)))
+    assert np.max(np.abs(got_rates - want_rates), initial=0.0) <= 1e-12 * scale
+    assert np.linalg.norm(g.reshape(got) - s) <= 1e-12 * max(1.0, float(np.linalg.norm(s)))
+    assert g.is_canonical(got)
 
 
 @given(

@@ -13,8 +13,10 @@ lists and in the records.  Re-record every case with
     PYTHONPATH=src python tests/test_golden.py
 
 and list each regenerated file, the reason and its largest deviation in
-CHANGES.md.  The input files were written once from the seeded builders of
-``perfbench/inputs.py``; the recorder writes them again only when missing.
+CHANGES.md.  The input files were written once: two from the seeded builders
+of ``perfbench/inputs.py``, and ``analyze-noncanonical-d3.json`` from the seeded
+draw of ``_write_analyze_input``; the recorder writes them again only when
+missing.
 """
 
 import contextlib
@@ -39,6 +41,9 @@ for _p in ("eternal_nm", "dephasing", "amplitude_damping", "paper_qubit"):
     CASES[f"analyze-{_p}"] = ["analyze", _p, "--json", "{out}/analyze.json"]
 for _p in ("eternal_nm", "dephasing", "paper_qubit"):
     CASES[f"witness-{_p}"] = ["witness", _p, "--json", "{out}/witness.json"]
+CASES["analyze-noncanonical-d3"] = [
+    "analyze", "{inputs}/analyze-noncanonical-d3.json", "--json", "{out}/analyze.json"
+]
 CASES["witness-noncanonical-d3"] = [
     "witness", "{inputs}/noncanonical-d3.json", "--json", "{out}/witness.json"
 ]
@@ -164,11 +169,33 @@ def _write_inputs():
         scratch.unlink()
 
 
+def _write_analyze_input():
+    """Autonomous d = 3 file for ``analyze``: positive rates, and noise operators
+    with identity parts and a non-orthonormal Gram matrix, from seed 3."""
+    sys.path.insert(0, str(GOLDEN.parent.parent / "perfbench"))
+    import inputs
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    ops = [rng.standard_normal((3, 3)) + 1.0j * rng.standard_normal((3, 3)) for _ in range(3)]
+    a = rng.standard_normal((3, 3)) + 1.0j * rng.standard_normal((3, 3))
+    spec = {
+        "h": (a + a.conj().T) / 2.0,
+        "ops": [op + (k + 1) * 0.5 * np.eye(3) for k, op in enumerate(ops)],
+        "rates": [("const", (r,)) for r in (0.4, 0.9, 0.25)],
+        "label": "analyze-noncanonical-d3",
+    }
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    inputs.write_spec(spec, INPUTS / "analyze-noncanonical-d3.json")
+
+
 def record():
     import tempfile
 
     if not (INPUTS / "noncanonical-d3.json").exists():
         _write_inputs()
+    if not (INPUTS / "analyze-noncanonical-d3.json").exists():
+        _write_analyze_input()
     for case, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             result = run_case(argv, Path(tmp))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gkls_rates import generator, matcore, witness
 from gkls_rates.errors import (
+    EigFailureError,
     NonSquareError,
     RankDeficientError,
     ShapeMismatchError,
@@ -81,6 +82,18 @@ def test_eig_nonsquare_raises():
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         matcore.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("route", ["hermitian", "general"])
+def test_eig_lapack_failure_raises_eig_failure(monkeypatch, route):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    m = SIGMA_X if route == "hermitian" else SIGMA_PLUS
+    with pytest.raises(EigFailureError, match="did not converge"):
+        matcore.eig(m)
 
 
 def test_eig_residual_and_biorthogonality(rng):
@@ -218,6 +231,38 @@ def test_expm_against_ode_integration(rng):
     assert np.linalg.norm(direct - sol.y[:, -1]) <= 1e-9
     evolved = direct.reshape(2, 2)
     assert abs(np.trace(evolved) - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# fix_phases
+# ---------------------------------------------------------------------------
+
+def fix_phase_loop(vector):
+    """The per-vector rule that ``fix_phases`` vectorizes."""
+    idx = int(np.argmax(np.abs(vector)))
+    pivot = vector[idx]
+    return vector if abs(pivot) == 0.0 else vector * (abs(pivot) / pivot)
+
+
+@given(
+    rows=st.integers(0, 6),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_fix_phases_matches_per_vector_loop(rows, n, seed, ties):
+    # random vectors, or entries of one magnitude so that the first maximum
+    # decides; zero rows stay zero
+    rng = np.random.default_rng(seed)
+    if ties:
+        m = np.exp(2j * np.pi * rng.integers(0, 4, (rows, n)) / 4)
+    else:
+        m = random_matrix(rng, max(rows, n))[:rows, :n]
+    m[rng.random(rows) < 0.3] = 0.0
+    got = matcore.fix_phases(m)
+    want = np.array([fix_phase_loop(v) for v in m]).reshape(m.shape)
+    tol = 4 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(m), initial=0.0)))
+    assert np.max(np.abs(got - want), initial=0.0) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from gkls_rates import generator as g
 from gkls_rates import spectra, witness
 from gkls_rates.errors import (
     DegenerateZeroModeError,
+    EigFailureError,
     NearDefectiveError,
     NonFaithfulStationaryStateError,
     NonSquareError,
@@ -40,6 +42,15 @@ def test_spectrum_zero_generator():
 def test_spectrum_rejects_time_dependent():
     with pytest.raises(TimeDependentError):
         spectra.relaxation_spectrum(witness.preset("eternal_nm"))
+
+
+def test_spectrum_eigensolver_failure_is_eig_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    with pytest.raises(EigFailureError):
+        spectra.relaxation_spectrum(witness.preset("amplitude_damping"))
 
 
 def test_spectrum_zero_mode_and_conjugate_symmetry():

@@ -4,6 +4,8 @@ Every function or class in a module's ``__all__`` must be referenced outside
 its own definition: by code in ``src/`` (the CLI included), a script, the
 benchmark under ``perfbench/``, the README, or the acceptance and golden
 tests.  A name that only its own unit tests reach moves to ``tests/`` or goes.
+Every error type but the ``GklsError`` base must be raised somewhere in
+``src/`` outside ``errors.py``, so that deleting its last raiser deletes it too.
 """
 
 import ast
@@ -76,3 +78,15 @@ def test_every_public_name_is_used_outside_its_definition():
     assert sorted(set(unreached) - set(EXEMPT)) == []
     # an exemption that is no longer needed leaves the list
     assert set(EXEMPT) <= set(unreached)
+
+
+def test_every_error_type_is_raised_in_src():
+    raised = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised |= _identifiers([exc])
+    defined = {node.name for node in _body(SRC / "errors.py") if isinstance(node, ast.ClassDef)}
+    assert sorted(defined - raised - {"GklsError"}) == []
