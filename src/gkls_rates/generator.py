@@ -39,7 +39,6 @@ Every tolerance here is a level of the table in ``matcore``.
 
 import functools
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +143,8 @@ def build(hamiltonian, channels):
     """Validate and assemble a generator from H and (rate, operator) pairs.
 
     The Hamiltonian must be Hermitian to EXACT_TOL (relative) and is symmetrized
-    on storage.  Channels that are not traceless-orthonormal only draw a
-    warning; ``canonicalize`` repairs such representations.
+    on storage.  Channels need not be traceless-orthonormal: ``canonical_form``
+    and ``canonical_rates`` reach the canonical form of any representation.
     """
     h = _hermitian_part(hamiltonian)
     d = h.shape[0]
@@ -159,19 +158,13 @@ def build(hamiltonian, channels):
         ops.append(op)
         rates.append(_coerce_rate(rate))
 
-    gen = GklsGenerator(
+    return GklsGenerator(
         dim=d,
         hamiltonian=h,
         ops=np.array(ops, dtype=complex).reshape(-1, d, d),
         rates=tuple(rates),
         time_dependent=any(isinstance(r, ratelang.RateExpr) for r in rates),
     )
-    if not is_canonical(gen):
-        warnings.warn(
-            "channels are not traceless-orthonormal; canonicalize() repairs this",
-            stacklevel=2,
-        )
-    return gen
 
 
 def is_canonical(gen):
@@ -265,7 +258,8 @@ def _dissipator_sums(weights, ops, d):
     jumps = np.einsum("kl,kla,klb->kab", weights, flat, flat.conj())
     jumps = jumps.reshape(k, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(k, d * d, d * d)
     damp = np.einsum("kl,klba,klbc->kac", weights, ops.conj(), ops)  # sum_l w_kl L_l^+ L_l
-    out = jumps - 0.5 * (_kron(damp, eye) + _kron(eye, damp.transpose(0, 2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # eig rejects what overflows
+        out = jumps - 0.5 * (_kron(damp, eye) + _kron(eye, damp.transpose(0, 2, 1)))
     return out.reshape(k, d**4)
 
 

@@ -19,7 +19,8 @@ block gives every per-step value, and the state is renormalized or
 QR-factorized once per block.  k keeps exp(k delta (mu_2(L) + mu_2(-L))),
 a bound on the column spread of a block product for any L, at most 1e4;
 blocks also end at the burn-in and convergence snapshots.  A time-dependent
-flow takes one RK4 segment and one QR per step.
+flow takes one RK4 segment and one QR per step; its steps times RK4
+substeps may not exceed ``_MAX_STEPS``.
 
 Both estimators converge by one rule: the rates over the last half and the
 last quarter of the run (the whole exponent vectors in QR) disagree by at
@@ -41,6 +42,7 @@ from . import spectra
 from .errors import (
     NonGenericInitialStateError,
     RankDeficientError,
+    StepSizeUnderflowError,
     TimeDependentError,
     UnconvergedError,
 )
@@ -294,10 +296,14 @@ def qr_spectrum(gen, horizon, reortho_interval=None):
     snap_at = {burn_k, half_idx, quarter_idx}
     if gen.time_dependent:
         parts = genmod.superop_parts(gen)
-        samples = parts.at(np.linspace(0.0, horizon, 65))
-        opnorm = float(np.max(np.linalg.norm(samples, axis=(1, 2))))
-        substeps = max(4, int(np.ceil(delta * opnorm * 50.0)))
-        block = 1
+        with np.errstate(over="ignore"):  # an overflowing norm fails the step budget below
+            samples = parts.at(np.linspace(0.0, horizon, 65))
+            opnorm = float(np.max(np.linalg.norm(samples, axis=(1, 2))))
+        substeps = max(4.0, np.ceil(delta * opnorm * 50.0))  # inf when opnorm overflows
+        if not steps * substeps <= _MAX_STEPS:
+            raise StepSizeUnderflowError(f"time-dependent flow needs {steps} x {substeps:.3g} "
+                                         f"RK4 steps, above the budget {_MAX_STEPS}")
+        substeps, block = int(substeps), 1
     else:
         superop = genmod.reshape(gen)
         opnorm = float(np.linalg.norm(superop))

@@ -79,9 +79,14 @@ def _require_square(m, op):
 
 
 def is_hermitian(m, rtol):
-    """True when ||m - m^dagger||_F <= rtol * max(1, ||m||_F) for a 2-d ``m``."""
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return float(np.linalg.norm(m - m.conj().T)) <= rtol * scale
+    """True when ||m - m^dagger||_F <= rtol * max(1, ||m||_F) for a 2-d ``m``,
+    rescaled to unit peak when ||m||_F overflows."""
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(m))
+    if scale == np.inf:
+        m = m / np.max(np.abs(m))
+        scale = float(np.linalg.norm(m))
+    return float(np.linalg.norm(m - m.conj().T)) <= rtol * max(1.0, scale)
 
 
 @dataclass(frozen=True, eq=False)

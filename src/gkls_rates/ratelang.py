@@ -6,10 +6,20 @@ grammar is tiny: decimal literals, the single variable ``t``, unary minus,
 minus, parentheses, and calls to tanh, exp, sin, cos, sqrt, abs.  Implicit
 multiplication is rejected.  Parsing is precedence climbing over a
 hand-written lexer, so syntax errors carry exact positions and the module
-needs no dependencies.
+needs no dependencies.  Literals that overflow and nesting deeper than
+``_MAX_DEPTH`` levels are syntax errors too.
+
+A ``RateExpr`` compiles its AST once, at construction, into nested closures
+over one operation table (the five operators and ``FUNCTIONS``), which run
+operands left before right.  One failure rule covers every domain problem:
+an operation that raises ``ArithmeticError`` or ``ValueError`` (division by
+zero, a negative base under a fractional power, zero under a negative one,
+overflow), or that returns a non-finite value, raises ``RateEvalError`` with
+its name and operands.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -61,9 +71,16 @@ class Call:
 
 @dataclass(frozen=True)
 class RateExpr:
-    """Parsed rate expression; immutable and safe to evaluate concurrently."""
+    """Parsed rate expression; immutable and safe to evaluate concurrently.  Equality,
+    hashing and pickling read ``ast`` alone; unpickling compiles it again."""
 
     ast: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "_function", _compile(self.ast))
+
+    def __reduce__(self):
+        return RateExpr, (self.ast,)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +108,9 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        m = _NUMBER.match(text, i)
+        m = _NUMBER.match(text, i) or _IDENT.match(text, i)
         if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
+            tokens.append(_Token("number" if m.re is _NUMBER else "ident", m.group(), i))
             i = m.end()
             continue
         if c in _OPS:
@@ -118,6 +130,10 @@ _ADD_BP = 10
 _MUL_BP = 20
 _PREFIX_BP = 30
 _POW_BP = 40
+_INFIX_BP = {"+": _ADD_BP, "-": _ADD_BP, "*": _MUL_BP, "/": _MUL_BP, "^": _POW_BP}
+# parentheses, unary minus, calls and each link of a binary chain nest one level;
+# the bound keeps parsing, compiling and evaluating far from the recursion limit
+_MAX_DEPTH = 200
 
 
 class _Parser:
@@ -137,41 +153,37 @@ class _Parser:
         tok = self.advance()
         if tok.kind != kind:
             raise RateSyntaxError(tok.pos, expected, tok.text or "end of input")
-        return tok
 
-    def parse_expression(self, min_bp=0):
-        left = self.parse_prefix()
+    @staticmethod
+    def deeper(depth, tok):
+        if depth >= _MAX_DEPTH:
+            raise RateSyntaxError(tok.pos, f"at most {_MAX_DEPTH} levels of nesting", tok.text)
+        return depth + 1
+
+    def parse_expression(self, min_bp, depth):
+        left = self.parse_prefix(depth)
         while True:
             tok = self.peek()
-            bp = self.infix_bp(tok)
+            bp = _INFIX_BP.get(tok.kind)
             if bp is None or bp <= min_bp:
                 return left
             self.advance()
-            if tok.kind == "^":
-                # right-associative
-                right = self.parse_expression(_POW_BP - 1)
-            else:
-                right = self.parse_expression(bp)
+            depth = self.deeper(depth, tok)
+            # ^ is right-associative
+            right = self.parse_expression(_POW_BP - 1 if tok.kind == "^" else bp, depth)
             left = BinOp(tok.kind, left, right)
 
-    @staticmethod
-    def infix_bp(tok):
-        if tok.kind in ("+", "-"):
-            return _ADD_BP
-        if tok.kind in ("*", "/"):
-            return _MUL_BP
-        if tok.kind == "^":
-            return _POW_BP
-        return None
-
-    def parse_prefix(self):
+    def parse_prefix(self, depth):
         tok = self.advance()
         if tok.kind == "number":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise RateSyntaxError(tok.pos, "a finite number", tok.text)
+            return Num(value)
         if tok.kind == "-":
-            return Neg(self.parse_expression(_PREFIX_BP))
+            return Neg(self.parse_expression(_PREFIX_BP, self.deeper(depth, tok)))
         if tok.kind == "(":
-            inner = self.parse_expression(0)
+            inner = self.parse_expression(0, self.deeper(depth, tok))
             self.expect(")", "')'")
             return inner
         if tok.kind == "ident":
@@ -179,7 +191,7 @@ class _Parser:
                 if tok.text not in FUNCTIONS:
                     raise UnknownFunctionError(tok.text, tok.pos)
                 self.advance()
-                arg = self.parse_expression(0)
+                arg = self.parse_expression(0, self.deeper(depth, tok))
                 self.expect(")", "')'")
                 return Call(tok.text, arg)
             if tok.text == "t":
@@ -193,7 +205,7 @@ def parse(text):
     if not isinstance(text, str) or not text.strip():
         raise RateSyntaxError(0, "a non-empty expression", text)
     parser = _Parser(text)
-    ast = parser.parse_expression(0)
+    ast = parser.parse_expression(0, 0)
     end = parser.peek()
     if end.kind != "end":
         raise RateSyntaxError(end.pos, "end of input or an operator", end.text)
@@ -204,64 +216,42 @@ def parse(text):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_node(node, t):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, t)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, t)
-        b = _eval_node(node.right, t)
-        return _apply_binop(node.op, a, b)
-    if isinstance(node, Call):
-        x = _eval_node(node.arg, t)
-        return _apply_call(node.name, x)
-    raise TypeError(f"unexpected AST node {node!r}")
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+               "^": math.pow, **FUNCTIONS}
 
 
-def _apply_binop(op, a, b):
-    if op == "+":
-        r = a + b
-    elif op == "-":
-        r = a - b
-    elif op == "*":
-        r = a * b
-    elif op == "/":
-        if b == 0.0:
-            raise RateEvalError("/", (a, b))
-        r = a / b
-    elif op == "^":
-        if a < 0.0 and b != math.floor(b):
-            raise RateEvalError("^", (a, b))
-        if a == 0.0 and b < 0.0:
-            raise RateEvalError("^", (a, b))
-        try:
-            r = math.pow(a, b)
-        except (OverflowError, ValueError):
-            raise RateEvalError("^", (a, b)) from None
-    else:
-        raise TypeError(f"unexpected operator {op!r}")
+def _apply(name, operands):
+    """The one failure rule: an operation that raises or returns a non-finite value."""
+    try:
+        r = _OPERATIONS[name](*operands)
+    except (ArithmeticError, ValueError):
+        raise RateEvalError(name, operands) from None
     if not math.isfinite(r):
-        raise RateEvalError(op, (a, b))
+        raise RateEvalError(name, operands)
     return r
 
 
-def _apply_call(name, x):
-    fn = FUNCTIONS[name]
-    try:
-        r = fn(x)
-    except (OverflowError, ValueError):
-        raise RateEvalError(name, (x,)) from None
-    if not math.isfinite(r):
-        raise RateEvalError(name, (x,))
-    return float(r)
+def _compile(node):
+    """A function of t that evaluates ``node``, operands left before right."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda t: value
+    if isinstance(node, TimeVar):
+        return lambda t: t
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda t: -operand(t)
+    if isinstance(node, BinOp):
+        name, left, right = node.op, _compile(node.left), _compile(node.right)
+        return lambda t: _apply(name, (left(t), right(t)))
+    if isinstance(node, Call):
+        name, arg = node.name, _compile(node.arg)
+        return lambda t: _apply(name, (arg(t),))
+    raise TypeError(f"unexpected AST node {node!r}")
 
 
 def evaluate(expr, t):
     """Evaluate at time ``t`` under IEEE semantics; domain problems raise."""
     if not math.isfinite(t):
         raise RateEvalError("t", (t,))
-    return _eval_node(expr.ast, float(t))
-
+    return expr._function(float(t))

@@ -3,12 +3,37 @@
 It writes the rate strings of generator files in the CLI tests and feeds
 random ASTs to the parser's round-trip properties: parse(to_string(e))
 reproduces e.ast.  Parentheses follow the parser's binding powers.
+``grammar_asts`` draws ASTs over the whole grammar, and ``DEEP_FORMS``
+write the nested texts the parser's nesting bound is tested on.
 """
 
-from gkls_rates.ratelang import _ADD_BP, _MUL_BP, _POW_BP, _PREFIX_BP
+from hypothesis import strategies as st
+
+from gkls_rates.ratelang import _INFIX_BP, _PREFIX_BP, FUNCTIONS
 from gkls_rates.ratelang import BinOp, Call, Neg, Num, TimeVar
 
-_INFIX_BP = {"+": _ADD_BP, "-": _ADD_BP, "*": _MUL_BP, "/": _MUL_BP, "^": _POW_BP}
+# text nested n levels deep, one form per kind of nesting the parser counts
+DEEP_FORMS = {
+    "parens": lambda n: "(" * n + "t" + ")" * n,
+    "minus": lambda n: "-" * n + "t",
+    "calls": lambda n: "sin(" * n + "t" + ")" * n,
+    "power": lambda n: "^".join(["1"] * (n + 1)),
+    "sum": lambda n: "+".join(["t"] * (n + 1)),
+}
+
+
+def grammar_asts(literal, max_leaves):
+    """ASTs over every operator and function, with leaves t and ``literal`` numbers."""
+    leaf = st.one_of(st.builds(Num, literal), st.just(TimeVar()))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from(sorted(_INFIX_BP)), children, children),
+            st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
 def _node_bp(node):

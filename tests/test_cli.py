@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkls_rates import cli, generator as g, ratelang, witness
 from gkls_rates.errors import SchemaError
+from gkls_rates.ratelang import RateExpr
 
-from rate_printer import to_string
+from rate_printer import DEEP_FORMS, grammar_asts, to_string
 
 
 def write_generator_file(path, gen, label=None):
@@ -298,6 +304,54 @@ def test_bad_numeric_input_exits_2_with_one_line(argv, capsys):
     # a path the user gave is named as given, never a temp file beside it
     assert ".tmp-" not in err
     assert all(arg in err for arg in argv if os.path.isdir(arg))
+
+
+# ---------------------------------------------------------------------------
+# rate expressions in generator files
+# ---------------------------------------------------------------------------
+
+def run_rate_file(directory, rate, argv):
+    """Exit code and stderr of ``cli.main`` on a qubit file with one decay channel at ``rate``."""
+    path = os.path.join(directory, "rate.json")
+    doc = {"dim": 2, "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+           "channels": [{"rate": rate, "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print a second line
+        code = cli.main([argv[0], path, *argv[1:]])
+    return code, stderr.getvalue()
+
+
+def printed_rate_strategy():
+    asts = grammar_asts(st.floats(min_value=1e-300, max_value=1e308), max_leaves=8)
+    deep = st.builds(lambda form, n: DEEP_FORMS[form](n),
+                     st.sampled_from(sorted(DEEP_FORMS)), st.integers(1, 3 * ratelang._MAX_DEPTH))
+    return st.one_of(asts.map(lambda ast: to_string(RateExpr(ast))), deep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(printed_rate_strategy())
+def test_witness_on_any_printed_rate_keeps_the_exit_contract(rate):
+    with tempfile.TemporaryDirectory() as directory:
+        code, err = run_rate_file(directory, rate, ["witness", "--steps", "3"])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR, cli.EXIT_WITNESS_FIRED)
+    assert err.count("\n") <= 1
+
+
+@pytest.mark.parametrize(
+    "rate, argv",
+    [(DEEP_FORMS[form](10 * ratelang._MAX_DEPTH), ["witness"]) for form in sorted(DEEP_FORMS)]
+    + [("1 - 1e999*t", ["witness"]), ("1e300*t", ["lyapunov", "--mode", "qr", "--horizon", "1"])],
+    ids=[f"deep-{form}" for form in sorted(DEEP_FORMS)] + ["literal-overflow", "qr-step-budget"],
+)
+def test_bad_rate_exits_2_with_one_line(tmp_path, rate, argv):
+    code, err = run_rate_file(tmp_path, rate, argv)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

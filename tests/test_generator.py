@@ -104,11 +104,6 @@ def test_build_rejects_dimension_mismatch():
         g.build(H0, [(1.0, np.zeros((3, 3)))])
 
 
-def test_build_warns_on_non_orthonormal_channels():
-    with pytest.warns(UserWarning):
-        g.build(H0, [(1.0, g.SIGMA_Z)])  # norm sqrt(2), not canonical
-
-
 def test_build_parses_string_rates():
     gen = g.build(H0, [("1 - 0.5*tanh(t)", g.SIGMA_MINUS)])
     assert gen.time_dependent
@@ -339,8 +334,7 @@ def test_canonicalize_prunes_tiny_rates():
 
 def test_canonicalize_preserves_action(rng, make_density):
     # a non-canonical representation and its canonical form act identically
-    with pytest.warns(UserWarning):
-        gen = g.build(H0, [(0.4, g.SIGMA_Z), (0.3, g.SIGMA_MINUS)])
+    gen = g.build(H0, [(0.4, g.SIGMA_Z), (0.3, g.SIGMA_MINUS)])
     h, c, _ = canonical_oracle.gks_decompose(g.reshape(gen))
     can = g.canonicalize(h, c)
     for _ in range(5):
@@ -438,8 +432,7 @@ def test_canonical_rates_match_per_point_gks_oracle(d, n, seed, scale):
         for k in range(n)
     ]
     h = rng.standard_normal((d, d))
-    with pytest.warns(UserWarning):
-        gen = g.build(h + h.T, list(zip(rates, ops)))
+    gen = g.build(h + h.T, list(zip(rates, ops)))
     times = np.linspace(0.0, 3.0, 7)
     got = g.canonical_rates(gen, times)
     want = canonical_oracle.canonical_rates(gen, times)

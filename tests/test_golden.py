@@ -16,7 +16,7 @@ and list each regenerated file, the reason and its largest deviation in
 CHANGES.md.  The input files were written once: two from the seeded builders
 of ``perfbench/inputs.py``, and ``analyze-noncanonical-d3.json`` from the seeded
 draw of ``_write_analyze_input``; the recorder writes them again only when
-missing.
+missing.  ``rate-overflow.json`` is written by hand.
 """
 
 import contextlib
@@ -78,6 +78,8 @@ for _id, _argv in {
     "csv-directory": ["lyapunov", "dephasing", "--csv", "{out}"],
 }.items():
     CASES[f"bad-{_id}"] = _argv
+# a rate literal that overflows to inf is a syntax error at the literal
+CASES["bad-rate-overflow"] = ["witness", "{inputs}/rate-overflow.json"]
 
 
 def run_case(argv, out_dir):
@@ -88,7 +90,7 @@ def run_case(argv, out_dir):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         code = cli.main(argv)
 
     def unplace(text):

@@ -345,8 +345,7 @@ def test_stacked_rates_match_channel_loop(kind, seed, t):
 
 
 def test_w_quantity_rejects_non_canonical():
-    with pytest.warns(UserWarning):
-        gen = g.build(H0, [(1.0, g.SIGMA_Z)])
+    gen = g.build(H0, [(1.0, g.SIGMA_Z)])
     track = pauli.EigenTrack(
         grid=np.array([0.0]), populations=np.full((1, 2), 0.5), frames=(np.eye(2, dtype=complex),)
     )

@@ -1,14 +1,16 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkls_rates import ratelang
+from gkls_rates import ratelang, witness
 from gkls_rates.errors import RateEvalError, RateSyntaxError, UnknownFunctionError
 from gkls_rates.ratelang import BinOp, Call, Neg, Num, RateExpr, TimeVar
 
-from rate_printer import to_string
+import rate_oracle
+from rate_printer import DEEP_FORMS, grammar_asts, to_string
 
 
 def ev(text, t=0.0):
@@ -117,6 +119,32 @@ def test_domain_errors():
         ratelang.evaluate(ratelang.parse("t"), math.inf)
 
 
+def test_overflowing_literal_is_a_syntax_error():
+    with pytest.raises(RateSyntaxError) as info:
+        ratelang.parse("1 - 1e999*t")
+    assert info.value.position == 4
+    assert info.value.found == "1e999"
+
+
+@pytest.mark.parametrize("form", sorted(DEEP_FORMS))
+def test_nesting_at_the_bound_parses_and_evaluates(form):
+    text = DEEP_FORMS[form](ratelang._MAX_DEPTH)
+    expr = ratelang.parse(text)
+    assert expr == ratelang.parse(text)
+    assert ratelang.evaluate(expr, 0.5) == rate_oracle.evaluate(expr.ast, 0.5)
+
+
+@pytest.mark.parametrize("form", sorted(DEEP_FORMS))
+def test_nesting_beyond_the_bound_is_a_syntax_error(form):
+    text = DEEP_FORMS[form](ratelang._MAX_DEPTH + 1)
+    with pytest.raises(RateSyntaxError) as info:
+        ratelang.parse(text)
+    # the token that opens level _MAX_DEPTH + 1
+    assert text[info.value.position] in "(-s^+"
+    with pytest.raises(RateSyntaxError):
+        ratelang.parse(DEEP_FORMS[form](10 * ratelang._MAX_DEPTH))
+
+
 def test_abs_and_sqrt():
     assert ev("abs(0-3)") == pytest.approx(3.0)
     assert ev("sqrt(9)") == pytest.approx(3.0)
@@ -207,6 +235,40 @@ def test_print_parse_idempotent(ast):
     once = ratelang.parse(printed)
     twice = ratelang.parse(to_string(once))
     assert once.ast == twice.ast
+
+
+# literals that overflow or leave a domain somewhere in the grammar
+DOMAIN_LITERALS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 710.0, 1e-300, 1e300, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def outcome(evaluate):
+    """("value", bits) or ("error", operation, operand bits) of one evaluation."""
+    try:
+        return "value", evaluate().hex()
+    except RateEvalError as exc:
+        return "error", exc.operation, tuple(x.hex() for x in exc.operands)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    grammar_asts(DOMAIN_LITERALS, max_leaves=16),
+    st.one_of(st.just(0.0), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)),
+)
+def test_compiled_evaluation_matches_tree_walking_oracle(ast, t):
+    got = outcome(lambda: ratelang.evaluate(RateExpr(ast), t))
+    assert got == outcome(lambda: rate_oracle.evaluate(ast, t))
+
+
+def test_rate_expressions_pickle_and_compare_by_ast():
+    eternal = witness.preset("eternal_nm")
+    copy = pickle.loads(pickle.dumps(eternal))
+    assert copy.rates == eternal.rates
+    assert list(copy.rates_at(1.5)) == list(eternal.rates_at(1.5))
+    a, b = ratelang.parse("1 - 0.5*tanh(t)"), ratelang.parse("1-0.5 * tanh(t)")
+    assert a == b and hash(a) == hash(b)
 
 
 CORPUS = [

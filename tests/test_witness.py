@@ -168,8 +168,7 @@ def test_tt_check_agrees_with_scan_margin_sign():
 def test_scan_time_dependent_non_canonical_channels():
     # bare sigma_z with rate gamma(t) equals sigma_z/sqrt(2) with 2*gamma(t);
     # the scan must recover the canonical rates from the frozen snapshots
-    with pytest.warns(UserWarning):
-        bare = g.build(np.zeros((2, 2)), [("0.25*(1+sin(t)^2)", g.SIGMA_Z)])
+    bare = g.build(np.zeros((2, 2)), [("0.25*(1+sin(t)^2)", g.SIGMA_Z)])
     normalized = g.build(
         np.zeros((2, 2)), [("0.5*(1+sin(t)^2)", g.SIGMA_Z / np.sqrt(2.0))]
     )
@@ -191,8 +190,7 @@ def test_cp_divisible_reads_no_rounding_at_large_rates(rate):
     # of order eps * rate, which must not read as a negative rate
     rng = np.random.default_rng(0)
     ops = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-    with pytest.warns(UserWarning):
-        gen = g.build(np.zeros((3, 3)), [(rate, ops[0]), (f"{rate!r}*(1 + 0*t)", ops[1])])
+    gen = g.build(np.zeros((3, 3)), [(rate, ops[0]), (f"{rate!r}*(1 + 0*t)", ops[1])])
     report = witness.scan(gen, np.linspace(0.0, 1.0, 11))
     assert report.cp_divisible
     assert np.min(report.local_rates) < 0.0  # the rounding is there to be read
